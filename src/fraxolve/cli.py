@@ -14,7 +14,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, parse_config
-from .harness import TableSpec, rows_to_csv, table_run
+from .harness import BudgetError, TableSpec, rows_to_csv, table_run
 from .mesh import FracParams, build_graded, check_step_restriction, verify_quasi_graded
 from .nonlinearity import builtin
 from .pde import range_check_pde, solve_pde
@@ -178,7 +178,7 @@ def _cmd_table(args) -> int:
         return EXIT_CONFIG
     try:
         rows = table_run(spec)
-    except Exception as e:
+    except (NonconvergenceError, BudgetError, ValueError) as e:
         print(f"table run failed: {e}", file=sys.stderr)
         return EXIT_SOLVER
     out_dir = Path(args.out)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -69,6 +69,7 @@ def _space_fn(expr_fn):
         y = pts[:, 1] if pts.shape[1] > 1 else np.zeros_like(x)
         return np.broadcast_to(np.asarray(expr_fn(x=x, y=y, t=t), dtype=float), x.shape)
 
+    fn.variables = expr_fn.variables
     return fn
 
 
@@ -89,8 +90,6 @@ class RunConfig:
     u0_scalar: Optional[float]
     alpha: float
     solver: SolverConfig
-    output: dict = field(default_factory=dict)
-    raw: dict = field(default_factory=dict)
 
 
 def _parse_mesh(obj, path):
@@ -131,11 +130,10 @@ def _parse_f(obj, path):
     if kind == "linear":
         cstar = obj.get("cstar", 0.0)
         F = obj.get("F", 0.0)
-        kwargs = {}
         if isinstance(cstar, str):
             raise ConfigError(f"{path}.cstar", "expression coefficients for linear f "
                               "are only available through the library API")
-        return builtin("linear", cstar=cstar, F=F, **kwargs)
+        return builtin("linear", cstar=cstar, F=F)
     if kind == "zero":
         return builtin("linear", cstar=0.0, F=0.0)
     raise ConfigError(f"{path}.kind", f"unknown nonlinearity kind {kind!r}")
@@ -167,13 +165,12 @@ def _parse_bc(obj, path, d):
 
 
 def _parse_solver(obj, path):
-    fields = ("nonlin_tol", "max_newton", "lin_tol", "lin_max_iters", "damping",
-              "strict_restriction")
+    fields = ("nonlin_tol", "max_newton", "damping", "strict_restriction")
     _require_keys(obj, path, (), fields)
     kwargs = {}
     for k in fields:
         if k in obj:
-            if k in ("max_newton", "lin_max_iters"):
+            if k == "max_newton":
                 kwargs[k] = _number(obj[k], f"{path}.{k}", minimum=1, integer=True)
             elif k == "strict_restriction":
                 if not isinstance(obj[k], bool):
@@ -190,13 +187,10 @@ def parse_config(text: str) -> RunConfig:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigError("<document>", f"invalid JSON: {e}") from None
-    _require_keys(raw, "<root>", ("mesh",), ("problem", "grid", "solver", "output"))
+    _require_keys(raw, "<root>", ("mesh",), ("problem", "grid", "solver"))
     mesh = _parse_mesh(raw["mesh"], "mesh")
     grid = _parse_grid(raw["grid"], "grid") if "grid" in raw else None
     solver = _parse_solver(raw.get("solver", {}), "solver")
-    output = raw.get("output", {})
-    if not isinstance(output, dict):
-        raise ConfigError("output", "expected an object")
 
     problem = None
     f = None
@@ -223,9 +217,14 @@ def parse_config(text: str) -> RunConfig:
                     raise ConfigError("problem.coefficients.b", f"expected {grid.d} entries")
                 b = tuple(_coef_entry(v, f"problem.coefficients.b[{i}]") for i, v in enumerate(b_obj))
             c = _coef_entry(coeffs_obj["c"], "problem.coefficients.c") if "c" in coeffs_obj else None
-            time_dependent = any(callable(v) for v in a + (b or ()) + ((c,) if callable(c) else ()))
-            coeffs = CoefficientField(a=a, b=b, c=c, time_dependent=time_dependent)
             bc = _parse_bc(p.get("bc", {"all": "dirichlet0"}), "problem.bc", grid.d)
+            # L_h holds a, b, c and every Robin mu, so it is reassembled per level
+            # when any of them references t
+            robin = tuple(face.value for face in bc.faces.values() if face.kind == "robin")
+            time_dependent = any(
+                "t" in v.variables for v in a + (b or ()) + (c,) + robin if callable(v)
+            )
+            coeffs = CoefficientField(a=a, b=b, c=c, time_dependent=time_dependent)
             u0_expr = _expression(p.get("u0", "0"), "problem.u0")
 
             def u0(pts, _e=u0_expr):
@@ -242,5 +241,5 @@ def parse_config(text: str) -> RunConfig:
                 u0_scalar = _number(u0_val, "problem.u0")
     return RunConfig(
         mesh=mesh, grid=grid, problem=problem, f=f, u0_scalar=u0_scalar,
-        alpha=alpha, solver=solver, output=output, raw=raw,
+        alpha=alpha, solver=solver,
     )

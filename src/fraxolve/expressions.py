@@ -137,7 +137,10 @@ class _Parser:
 
 
 def parse_expression(text: str) -> Callable:
-    """Compile an expression to ``fn(x=..., y=..., t=...) -> array``."""
+    """Compile an expression to ``fn(x=..., y=..., t=...) -> array``.
+
+    ``fn.variables`` is the set of the names x, y, t the expression references.
+    """
     p = _Parser(text)
     node = p.expr()
     p.take("end")
@@ -147,4 +150,5 @@ def parse_expression(text: str) -> Callable:
                      "t": np.asarray(t, dtype=float)})
 
     fn.source = text
+    fn.variables = frozenset(v for kind, v, _ in p.tokens if kind == "name" and v in _VARS)
     return fn

@@ -14,7 +14,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -183,17 +183,36 @@ class TableSpec:
             raise ValueError(f"unknown N-rule {self.n_rule!r}") from None
 
 
-def _estimate_cost(spec: TableSpec) -> float:
-    total = 0.0
+def _run_pairs(spec: TableSpec):
+    """Each table row, in order, as (alpha, r, (M, N), (M_f, N_f)).
+
+    (M, N) is the row's run and (M_f, N_f) its fine companion: a temporal or
+    global study doubles M at fixed N; a spatial study doubles N, and
+    quadruples M only under the M=N^2 rule.
+    """
     for alpha in spec.alphas:
-        for _r in spec.rs_for(alpha):
+        for r in spec.rs_for(alpha):
             for M in spec.Ms:
                 N = spec.n_for(M)
-                n = max(1, (N - 1) ** 2)
-                total += (M**2 + 4 * M**2) * n  # coarse + its fine companion
-                if spec.study in ("space",):
-                    total += (4 * M) ** 2 * max(1, (2 * N - 1) ** 2)
-    return total
+                if spec.study == "space":
+                    fine = (4 * M if spec.n_rule == "M=N^2" else M, 2 * N)
+                else:
+                    fine = (2 * M, N)
+                yield alpha, r, (M, N), fine
+
+
+def _distinct_runs(spec: TableSpec) -> list[tuple]:
+    """The distinct (alpha, r, M, N) solves the table needs, in first-use order."""
+    runs = {}
+    for alpha, r, coarse, fine in _run_pairs(spec):
+        for M, N in (coarse, fine):
+            runs.setdefault((alpha, r, M, N), None)
+    return list(runs)
+
+
+def _estimate_cost(spec: TableSpec) -> float:
+    """Sum of M^2 * (N - 1)^2 over the distinct runs."""
+    return float(sum(M**2 * max(1, (N - 1) ** 2) for _, _, M, N in _distinct_runs(spec)))
 
 
 def table_run(spec: TableSpec, workers: int | None = None) -> list[dict]:
@@ -213,19 +232,6 @@ def table_run(spec: TableSpec, workers: int | None = None) -> list[dict]:
     if workers is None:
         workers = int(os.environ.get("FRAXOLVE_THREADS", "1"))
 
-    # collect the distinct (alpha, r, M, N) runs needed
-    jobs: dict[tuple, tuple] = {}
-    for alpha in spec.alphas:
-        for r in spec.rs_for(alpha):
-            for M in spec.Ms:
-                N = spec.n_for(M)
-                if spec.study == "space":
-                    M_f, N_f = 4 * M if spec.n_rule == "M=N^2" else M, 2 * N
-                else:
-                    M_f, N_f = 2 * M, N
-                for MM, NN in ((M, N), (M_f, N_f)):
-                    jobs.setdefault((alpha, r, MM, NN), (alpha, r, MM, NN))
-
     def run_one(key):
         alpha, r, M, N = key
         problem = spec.problem_factory(alpha)
@@ -234,7 +240,7 @@ def table_run(spec: TableSpec, workers: int | None = None) -> list[dict]:
         return solve_pde(problem, mesh, grid, spec.solver)
 
     results: dict[tuple, SolutionHistory] = {}
-    keys = list(jobs)
+    keys = _distinct_runs(spec)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as ex:
             for key, sol in zip(keys, ex.map(run_one, keys)):
@@ -244,24 +250,18 @@ def table_run(spec: TableSpec, workers: int | None = None) -> list[dict]:
             results[key] = run_one(key)
 
     rows = []
-    for alpha in spec.alphas:
-        for r in spec.rs_for(alpha):
-            prev_err = None
-            for M in spec.Ms:
-                N = spec.n_for(M)
-                if spec.study == "space":
-                    M_f, N_f = 4 * M if spec.n_rule == "M=N^2" else M, 2 * N
-                else:
-                    M_f, N_f = 2 * M, N
-                rep = two_mesh_error(results[(alpha, r, M, N)], results[(alpha, r, M_f, N_f)])
-                err = rep.err_global if spec.study == "global" else rep.err_final
-                row = {
-                    "alpha": alpha, "r": r, "M": M, "N": N,
-                    "study": spec.study, "err": err,
-                    "rate": rate(prev_err, err) if prev_err is not None else None,
-                }
-                rows.append(row)
-                prev_err = err
+    series = prev_err = None
+    for alpha, r, coarse, fine in _run_pairs(spec):
+        if (alpha, r) != series:  # a new series has no rate in its first row
+            series, prev_err = (alpha, r), None
+        rep = two_mesh_error(results[(alpha, r) + coarse], results[(alpha, r) + fine])
+        err = rep.err_global if spec.study == "global" else rep.err_final
+        rows.append({
+            "alpha": alpha, "r": r, "M": coarse[0], "N": coarse[1],
+            "study": spec.study, "err": err,
+            "rate": rate(prev_err, err) if prev_err is not None else None,
+        })
+        prev_err = err
     return rows
 
 

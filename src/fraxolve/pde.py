@@ -3,14 +3,15 @@
     kappa_{m,m} U^m + L_h U^m + f(z, t_m, U^m) = F^m
 
 with damped Newton, an M-matrix Jacobian under the step restriction, and
-range preservation for invariant-range reactions.
+range preservation for invariant-range reactions.  Every linear system
+(Newton step or Picard fallback) is solved by one sparse LU factorization.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,14 +31,6 @@ from .spatial import (
 )
 
 __all__ = ["Problem", "SolverConfig", "SolutionHistory", "solve_pde", "range_check_pde"]
-
-try:
-    import pyamg
-
-    _HAVE_PYAMG = True
-except ImportError:  # pragma: no cover
-    _HAVE_PYAMG = False
-
 
 @dataclass
 class Problem:
@@ -72,83 +65,13 @@ class SolutionHistory:
         return self.fields[m].reshape(self.grid.shape)
 
 
-class _LinearSolver:
-    """Inner solves of (L_h + D) x = rhs with D a varying positive diagonal.
-
-    d = 1 uses direct sparse LU; d = 2 uses Krylov (CG when the matrix is
-    symmetric, BiCGStab otherwise).  The systems are L_h + kappa I up to a
-    bounded diagonal perturbation, and kappa sets the conditioning regime:
-    when kappa is large (early levels of graded meshes) the shift already
-    dominates the diffusion spectrum and plain Krylov converges quickly,
-    while preconditioning with an AMG hierarchy for L_h alone would spoil
-    it (the preconditioned operator behaves like I + kappa L_h^{-1}).
-    When kappa sits inside the spectrum, an AMG hierarchy for the shifted
-    operator itself is used and rebuilt only when kappa has drifted out of
-    the band it was built for.
-    """
-
-    def __init__(self, A: sp.csr_matrix, d: int, cfg: SolverConfig):
-        self.A = A
-        self.d = d
-        self.cfg = cfg
-        self.symmetric = (A - A.T).nnz == 0 or abs(A - A.T).max() < 1e-12
-        self.precond = None
-        self._amg = d == 2 and _HAVE_PYAMG and A.shape[0] > 400
-        # above the Gershgorin bound the shift dominates every connection:
-        # plain Krylov is fast there and aggregation hierarchies degenerate
-        self._kappa_switch = float(np.abs(A).sum(axis=1).max())
-        self._kappa_built = None
-        self._sym_part = None
-        if self._amg:
-            self._sym_part = (A if self.symmetric else (A + A.T) * 0.5).tocsr()
-
-    def _ensure_precond(self, kappa: float):
-        """Hierarchy for A + kappa I, reused while kappa stays within 3x."""
-        if self._kappa_built is not None and (
-            1.0 / 3.0 <= kappa / self._kappa_built <= 3.0
-        ):
-            return
-        try:
-            shifted = self._sym_part + kappa * sp.eye(self.A.shape[0], format="csr")
-            ml = pyamg.smoothed_aggregation_solver(shifted)
-            self.precond = ml.aspreconditioner(cycle="V")
-            self._kappa_built = kappa
-        except Exception:
-            self._amg = False
-            self.precond = None
-
-    def solve(self, J: sp.csr_matrix, rhs: np.ndarray, kappa: float,
-              x0: np.ndarray | None = None):
-        if self.d == 1 or not self._amg:
-            return spla.splu(J.tocsc()).solve(rhs), 1
-        precond = None
-        if kappa < self._kappa_switch:
-            self._ensure_precond(kappa)
-            precond = self.precond
-        count = [0]
-
-        def cb(_):
-            count[0] += 1
-
-        kr = spla.cg if self.symmetric else spla.bicgstab
-        x, info = kr(
-            J,
-            rhs,
-            x0=x0,
-            rtol=self.cfg.lin_tol,
-            atol=0.0,
-            maxiter=self.cfg.lin_max_iters,
-            M=precond,
-            callback=cb,
-        )
-        if info != 0:
-            return spla.splu(J.tocsc()).solve(rhs), count[0]
-        return x, count[0]
+def _lu_solve(J: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
+    """One sparse LU solve of J x = rhs."""
+    return spla.splu(J.tocsc()).solve(rhs)
 
 
 def _newton_level(
     op: DiscreteOperator,
-    lin: _LinearSolver,
     f: Nonlinearity,
     t: float,
     kmm: float,
@@ -178,9 +101,8 @@ def _newton_level(
             dvals = kmm + np.asarray(f.deriv_s(pts, t, u))
         else:
             dvals = np.full(u.size, kmm)  # Picard: frozen nonlinearity
-        J = A + sp.diags(dvals)
-        step, lin_it = lin.solve(J.tocsr(), -res, kmm)
-        lin_total += lin_it
+        step = _lu_solve(A + sp.diags(dvals), -res)
+        lin_total += 1
         # residual-norm line search, shrink by cfg.damping down to 2^-20
         damp = 1.0
         while damp >= 2.0**-20:
@@ -193,9 +115,8 @@ def _newton_level(
             damp *= cfg.damping
         else:
             # line search stalled; Picard step (monotone at small tau)
-            step, lin_it = lin.solve((A + sp.diags(np.full(u.size, kmm))).tocsr(),
-                                     -(residual(u)), kmm)
-            lin_total += lin_it
+            step = _lu_solve(A + sp.diags(np.full(u.size, kmm)), -residual(u))
+            lin_total += 1
             u = u + step
             res = residual(u)
             rnorm = float(np.max(np.abs(res)))
@@ -210,6 +131,7 @@ def solve_pde(
     grid: Grid,
     cfg: SolverConfig | None = None,
 ) -> SolutionHistory:
+    """March the L1 scheme over ``mesh``; ``fields`` is the only history store."""
     cfg = cfg or SolverConfig()
     alpha = problem.alpha
     mp = check_max_principle(grid, problem.coeffs, t_samples=tuple(mesh.nodes[:: max(1, mesh.M // 8)]))
@@ -231,30 +153,25 @@ def solve_pde(
         warnings.warn(msg, StepRestrictionWarning)
 
     op = assemble(grid, problem.coeffs, float(mesh.nodes[1]), problem.bc)
-    lin = _LinearSolver(op.matrix, grid.d, cfg)
     pts_unknown = grid.points()[op.unknown_flat]
-    n_unk = op.n_unknown
 
     M = mesh.M
     fields = np.empty((M + 1, grid.n_nodes))
-    u0_full = problem.initial_field(grid)
-    fields[0] = u0_full
-    hist = np.empty((M + 1, n_unk))
-    hist[0] = u0_full[op.unknown_flat]
+    fields[0] = problem.initial_field(grid)
 
     out = SolutionHistory(mesh=mesh, grid=grid, fields=fields)
     for m in range(1, M + 1):
         t_m = float(mesh.nodes[m])
         if problem.coeffs.time_dependent:
             op = assemble(grid, problem.coeffs, t_m, problem.bc)
-            lin = _LinearSolver(op.matrix, grid.d, cfg)
         w = l1_weights(mesh, alpha, m)
-        Fm = w.kappa[:m] @ hist[:m]
+        # sum whole rows, then keep the unknowns: a column-indexed slice would copy m rows
+        Fm = (w.kappa[:m] @ fields[:m])[op.unknown_flat]
         g_dir = op.data_vector(t_m)
         u, iters, rnorm, lin_it = _newton_level(
-            op, lin, problem.f, t_m, w.diag, Fm, g_dir, hist[m - 1], pts_unknown, cfg, m
+            op, problem.f, t_m, w.diag, Fm, g_dir, fields[m - 1][op.unknown_flat],
+            pts_unknown, cfg, m,
         )
-        hist[m] = u
         fields[m] = op.scatter(u, t_m)
         out.newton_iters.append(iters)
         out.residuals.append(rnorm)

@@ -42,17 +42,19 @@ class NonconvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Per-step nonlinear/linear solver knobs (shared by scalar and PDE paths)."""
+    """Per-level nonlinear solver knobs (shared by scalar and PDE paths).
+
+    The PDE path solves every linear system by sparse LU, so there are no
+    linear-solver knobs.
+    """
 
     nonlin_tol: float = 1e-10
     max_newton: int = 30
-    lin_tol: float = 1e-12
-    lin_max_iters: int = 2000
     damping: float = 0.5
     strict_restriction: bool = False
 
     def __post_init__(self):
-        for name in ("nonlin_tol", "lin_tol", "damping"):
+        for name in ("nonlin_tol", "damping"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
 

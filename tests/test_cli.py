@@ -122,6 +122,27 @@ class TestTable:
         assert lines[0] == "alpha,r,M,N,study,err,rate"
         assert len(lines) == 3
 
+    def test_budget_error_exits_solver(self, tmp_path, monkeypatch, capsys):
+        import fraxolve.cli
+        from fraxolve.harness import BudgetError
+
+        def over_budget(spec):
+            raise BudgetError("estimated cost 1e+20 exceeds budget 5e+13")
+
+        monkeypatch.setattr(fraxolve.cli, "table_run", over_budget)
+        assert main(["table", "--preset", "table1", "--out", str(tmp_path)]) == EXIT_SOLVER
+        assert "estimated cost 1e+20 exceeds budget" in capsys.readouterr().err
+
+    def test_unexpected_error_propagates(self, tmp_path, monkeypatch):
+        import fraxolve.cli
+
+        def broken(spec):
+            raise TypeError("a defect, not a solver failure")
+
+        monkeypatch.setattr(fraxolve.cli, "table_run", broken)
+        with pytest.raises(TypeError, match="a defect"):
+            main(["table", "--preset", "table1", "--out", str(tmp_path)])
+
     def test_bad_preset_rejected(self):
         with pytest.raises(SystemExit):
             main(["table", "--preset", "table9"])

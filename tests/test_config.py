@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -59,6 +60,12 @@ class TestKeyValidation:
     def test_unknown_root_key(self):
         with pytest.raises(ConfigError, match="meshh"):
             parse_config(make({"meshh": {"M": 4}, "mesh": {"M": 4}}))
+
+    def test_output_root_key_rejected(self):
+        doc = json.loads(make(BASE_PDE))
+        doc["output"] = {"dir": "out"}
+        with pytest.raises(ConfigError, match="output"):
+            parse_config(make(doc))
 
     def test_mesh_required(self):
         with pytest.raises(ConfigError, match="mesh"):
@@ -153,12 +160,28 @@ class TestCoefficients:
         doc = json.loads(make(BASE_PDE))
         doc["problem"]["coefficients"] = {"a": ["1 + x/2"], "c": 1.0}
         cfg = parse_config(make(doc))
-        # expression coefficients are conservatively treated as time-varying
-        assert cfg.problem.coeffs.time_dependent is True
+        # no coefficient references t, so L_h is assembled once
+        assert cfg.problem.coeffs.time_dependent is False
         pts = cfg.grid.points()
         np.testing.assert_allclose(
             cfg.problem.coeffs.a[0](pts, 0.0), 1.0 + pts[:, 0] / 2
         )
+
+    def test_time_varying_expression_coefficient(self):
+        doc = json.loads(make(BASE_PDE))
+        doc["problem"]["coefficients"] = {"a": ["1 + t*x"], "c": 1.0}
+        cfg = parse_config(make(doc))
+        assert cfg.problem.coeffs.time_dependent is True
+
+    def test_time_varying_robin_face(self):
+        # mu enters L_h, so a t-dependent Robin value alone marks it time-varying
+        doc = json.loads(make(BASE_PDE))
+        doc["problem"]["coefficients"] = {"a": ["1 + x/2"]}
+        doc["problem"]["bc"] = {"x-": {"kind": "dirichlet"},
+                                "x+": {"kind": "robin", "value": "1 + t"}}
+        assert parse_config(make(doc)).problem.coeffs.time_dependent is True
+        doc["problem"]["bc"]["x+"]["value"] = "1 + x"
+        assert parse_config(make(doc)).problem.coeffs.time_dependent is False
 
     def test_constant_coefficients_not_time_dependent(self):
         doc = json.loads(make(BASE_PDE))
@@ -226,9 +249,35 @@ class TestSolverSection:
         with pytest.raises(ConfigError, match="tol"):
             parse_config(make(doc))
 
+    def test_linear_solver_knobs_rejected(self):
+        # every linear system is solved by sparse LU: no tolerance or cap to set
+        for knob, value in (("lin_tol", 1e-8), ("lin_max_iters", 100)):
+            doc = json.loads(make(BASE_PDE))
+            doc["solver"] = {knob: value}
+            with pytest.raises(ConfigError, match=knob):
+                parse_config(make(doc))
+
 
 class TestEndToEnd:
     def test_parsed_problem_solves(self):
         cfg = parse_config(make(BASE_PDE))
         sol = solve_pde(cfg.problem, cfg.mesh, cfg.grid, cfg.solver)
         assert np.all(np.isfinite(sol.fields[-1]))
+
+    def test_time_varying_robin_face_matches_per_level_assembly(self):
+        doc = json.loads(make(BASE_PDE))
+        doc["mesh"]["M"] = 8
+        doc["problem"]["coefficients"] = {"a": ["1 + x/2"]}
+        doc["problem"]["bc"] = {"x-": {"kind": "dirichlet"},
+                                "x+": {"kind": "robin", "value": "1 + t"}}
+        cfg = parse_config(make(doc))
+        sol = solve_pde(cfg.problem, cfg.mesh, cfg.grid, cfg.solver)
+
+        def solve_with(time_dependent):
+            coeffs = dataclasses.replace(cfg.problem.coeffs, time_dependent=time_dependent)
+            problem = dataclasses.replace(cfg.problem, coeffs=coeffs)
+            return solve_pde(problem, cfg.mesh, cfg.grid, cfg.solver).fields
+
+        np.testing.assert_array_equal(sol.fields, solve_with(True))
+        # freezing mu at t_1 would change the solution
+        assert np.max(np.abs(sol.fields - solve_with(False))) > 1e-6

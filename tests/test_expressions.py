@@ -15,6 +15,11 @@ class TestEvaluation:
         fn = parse_expression("x + 2*y - t")
         assert fn(x=1.0, y=3.0, t=0.5) == pytest.approx(6.5)
 
+    def test_referenced_variables(self):
+        assert parse_expression("1 + t*x").variables == {"x", "t"}
+        assert parse_expression("sin(pi*y)").variables == {"y"}
+        assert parse_expression("2.5").variables == frozenset()
+
     def test_vectorized(self):
         fn = parse_expression("sin(x) * cos(y)")
         x = np.linspace(0.0, math.pi, 7)

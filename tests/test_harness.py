@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from fraxolve.harness import (
     BudgetError,
     TableSpec,
+    _estimate_cost,
     allen_cahn_problem,
     exact_error,
     rate,
@@ -16,7 +18,7 @@ from fraxolve.harness import (
 from fraxolve.mesh import build_graded
 from fraxolve.nonlinearity import builtin
 from fraxolve.pde import solve_pde
-from fraxolve.scalar import solve_scalar
+from fraxolve.scalar import StepRestrictionWarning, solve_scalar
 from fraxolve.spatial import Grid
 from fraxolve.special import mittag_leffler
 
@@ -129,6 +131,24 @@ class TestTableRun:
         )
         with pytest.raises(BudgetError):
             table_run(spec)
+
+    @pytest.mark.parametrize("n_rule, Ms", [("M=N^2", (4, 16)), ("N=M/2", (4, 8))])
+    def test_cost_estimate_sums_solved_runs(self, monkeypatch, n_rule, Ms):
+        import fraxolve.harness
+
+        solved = []
+
+        def recording_solve(problem, mesh, grid, cfg=None):
+            solved.append((mesh.M, grid.N))
+            return solve_pde(problem, mesh, grid, cfg)
+
+        monkeypatch.setattr(fraxolve.harness, "solve_pde", recording_solve)
+        spec = TableSpec(alphas=(0.5,), rs=(1.0,), Ms=Ms, n_rule=n_rule, study="space")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", StepRestrictionWarning)
+            table_run(spec)
+        assert len(set(solved)) == len(solved)  # each distinct run solved once
+        assert _estimate_cost(spec) == sum(M**2 * (N - 1) ** 2 for M, N in solved)
 
     def test_n_rules(self):
         spec = TableSpec(alphas=(0.5,), rs=(1.0,), Ms=(64,), n_rule="M=N^2",

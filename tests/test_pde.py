@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -206,3 +207,21 @@ class TestBasics:
         assert sol.fields[-1, -1] == pytest.approx(1.0)
         inner = sol.fields[-1, 1:-1]
         assert np.all(inner > 0.0) and np.all(inner < 1.0)
+
+    def test_history_stored_once(self):
+        # the nodal fields are the only (M+1)-level array a solve allocates
+        problem = Problem(
+            coeffs=CoefficientField(a=(1.0,)),
+            bc=BoundarySpec.all_periodic(1),
+            f=builtin("fisher"),
+            u0=lambda pts: 0.5 + 0.3 * np.cos(2.0 * pts[:, 0]),
+            alpha=0.4,
+        )
+        mesh, grid = build_graded(300, 1.0, 2.0), Grid(1, 512, 2.0 * math.pi)
+        tracemalloc.start()
+        try:
+            sol = solve_pde(problem, mesh, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * sol.fields.nbytes
