@@ -74,10 +74,12 @@ def _space_fn(expr_fn):
 
 
 def _coef_entry(obj, path):
+    """A float, or a (points, t) callable; an expression without x, y, t folds to a float."""
     if isinstance(obj, (int, float)) and not isinstance(obj, bool):
         return float(obj)
     if isinstance(obj, str):
-        return _space_fn(_expression(obj, path))
+        expr = _expression(obj, path)
+        return _space_fn(expr) if expr.variables else float(expr())
     raise ConfigError(path, "expected a number or expression string")
 
 

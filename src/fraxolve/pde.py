@@ -3,8 +3,11 @@
     kappa_{m,m} U^m + L_h U^m + f(z, t_m, U^m) = F^m
 
 with damped Newton, an M-matrix Jacobian under the step restriction, and
-range preservation for invariant-range reactions.  Every linear system
-(Newton step or Picard fallback) is solved by one sparse LU factorization.
+range preservation for invariant-range reactions.  The operator picks the
+linear solver: when a 2D L_h has a fast inverse (``spatial.fast_inverse``),
+a Picard matrix L_h + kappa_mm I is inverted directly and an SPD Newton
+matrix is solved by CG preconditioned with that inverse; every other
+system is solved by one sparse LU factorization.
 """
 
 from __future__ import annotations
@@ -25,9 +28,11 @@ from .spatial import (
     BoundarySpec,
     CoefficientField,
     DiscreteOperator,
+    FastInverse,
     Grid,
     assemble,
     check_max_principle,
+    fast_inverse,
 )
 
 __all__ = ["Problem", "SolverConfig", "SolutionHistory", "solve_pde", "range_check_pde"]
@@ -58,16 +63,54 @@ class SolutionHistory:
     fields: np.ndarray  # (M+1, n_nodes) full nodal fields
     newton_iters: list[int] = field(default_factory=list)
     residuals: list[float] = field(default_factory=list)
-    lin_iters: list[int] = field(default_factory=list)
+    lin_iters: list[int] = field(default_factory=list)  # CG iterations; 1 per direct solve
+    picard_steps: list[int] = field(default_factory=list)  # after a stalled line search
     range_ok: bool | None = None
 
     def field_at(self, m: int) -> np.ndarray:
         return self.fields[m].reshape(self.grid.shape)
 
 
-def _lu_solve(J: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
-    """One sparse LU solve of J x = rhs."""
-    return spla.splu(J.tocsc()).solve(rhs)
+_CG_RTOL = 1e-13
+_CG_MAXITER = 200
+
+
+def _pcg(J: sp.spmatrix, rhs: np.ndarray, fast: FastInverse, s: float, m: int):
+    """CG on the SPD J, preconditioned by (L_h + s I)^{-1}; returns x and its iterations."""
+    iters = 0
+
+    def count(_):
+        nonlocal iters
+        iters += 1
+
+    pre = spla.LinearOperator(J.shape, matvec=lambda r: fast(r, s), dtype=float)
+    x, info = spla.cg(J, rhs, rtol=_CG_RTOL, atol=0.0, maxiter=_CG_MAXITER, M=pre, callback=count)
+    if info != 0:
+        lin_res = float(np.linalg.norm(rhs - J @ x) / np.linalg.norm(rhs))
+        raise NonconvergenceError(
+            m, lin_res,
+            f"CG did not reach relative residual {_CG_RTOL:g} in {_CG_MAXITER} "
+            f"iterations at level {m} (reached {lin_res:.3e})",
+        )
+    return x, iters
+
+
+def _linear_solve(
+    A: sp.spmatrix, shift, rhs: np.ndarray, fast: FastInverse | None, m: int
+) -> tuple[np.ndarray, int]:
+    """Solve (A + diag(shift)) x = rhs; returns x and the linear iterations.
+
+    With a fast inverse of A and a provably SPD matrix, min(shift) >
+    -lambda_min(A): a constant shift is inverted directly, any other runs
+    CG.  Everything else is one sparse LU solve.  Direct solves count 1.
+    """
+    if fast is not None:
+        lo, hi = float(np.min(shift)), float(np.max(shift))
+        if lo > -fast.lam_min:
+            if lo == hi:
+                return fast(rhs, lo), 1
+            return _pcg(A + sp.diags(shift), rhs, fast, 0.5 * (lo + hi), m)
+    return spla.splu((A + sp.diags(np.full(rhs.size, shift))).tocsc()).solve(rhs), 1
 
 
 def _newton_level(
@@ -81,6 +124,7 @@ def _newton_level(
     pts: np.ndarray,
     cfg: SolverConfig,
     m: int,
+    fast: FastInverse | None,
 ):
     A = op.matrix
 
@@ -91,18 +135,18 @@ def _newton_level(
     u = u_start.copy()
     res = residual(u)
     rnorm = float(np.max(np.abs(res)))
-    lin_total = 0
+    lin_total = picard = 0
     for it in range(1, cfg.max_newton + 1):
         if not np.isfinite(rnorm):
             raise NonconvergenceError(m, rnorm, f"non-finite residual at level {m}")
         if rnorm <= tol:
-            return u, it - 1, rnorm, lin_total
+            return u, it - 1, rnorm, lin_total, picard
         if f.deriv_s is not None:
             dvals = kmm + np.asarray(f.deriv_s(pts, t, u))
         else:
-            dvals = np.full(u.size, kmm)  # Picard: frozen nonlinearity
-        step = _lu_solve(A + sp.diags(dvals), -res)
-        lin_total += 1
+            dvals = kmm  # Picard: frozen nonlinearity
+        step, n_lin = _linear_solve(A, dvals, -res, fast, m)
+        lin_total += n_lin
         # residual-norm line search, shrink by cfg.damping down to 2^-20
         damp = 1.0
         while damp >= 2.0**-20:
@@ -115,13 +159,14 @@ def _newton_level(
             damp *= cfg.damping
         else:
             # line search stalled; Picard step (monotone at small tau)
-            step = _lu_solve(A + sp.diags(np.full(u.size, kmm)), -residual(u))
-            lin_total += 1
+            step, n_lin = _linear_solve(A, kmm, -residual(u), fast, m)
+            lin_total += n_lin
+            picard += 1
             u = u + step
             res = residual(u)
             rnorm = float(np.max(np.abs(res)))
     if rnorm <= tol:
-        return u, cfg.max_newton, rnorm, lin_total
+        return u, cfg.max_newton, rnorm, lin_total, picard
     raise NonconvergenceError(m, rnorm)
 
 
@@ -153,6 +198,9 @@ def solve_pde(
         warnings.warn(msg, StepRestrictionWarning)
 
     op = assemble(grid, problem.coeffs, float(mesh.nodes[1]), problem.bc)
+    # in 1D the matrices are (cyclic) tridiagonal: their LU has no fill and
+    # costs less than the per-call overhead of the transforms and of CG
+    fast = fast_inverse(grid, problem.coeffs, problem.bc) if grid.d == 2 else None
     pts_unknown = grid.points()[op.unknown_flat]
 
     M = mesh.M
@@ -168,14 +216,15 @@ def solve_pde(
         # sum whole rows, then keep the unknowns: a column-indexed slice would copy m rows
         Fm = (w.kappa[:m] @ fields[:m])[op.unknown_flat]
         g_dir = op.data_vector(t_m)
-        u, iters, rnorm, lin_it = _newton_level(
+        u, iters, rnorm, lin_it, picard = _newton_level(
             op, problem.f, t_m, w.diag, Fm, g_dir, fields[m - 1][op.unknown_flat],
-            pts_unknown, cfg, m,
+            pts_unknown, cfg, m, fast,
         )
         fields[m] = op.scatter(u, t_m)
         out.newton_iters.append(iters)
         out.residuals.append(rnorm)
         out.lin_iters.append(lin_it)
+        out.picard_steps.append(picard)
     return out
 
 

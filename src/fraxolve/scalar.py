@@ -44,7 +44,8 @@ class NonconvergenceError(RuntimeError):
 class SolverConfig:
     """Per-level nonlinear solver knobs (shared by scalar and PDE paths).
 
-    The PDE path solves every linear system by sparse LU, so there are no
+    The PDE path picks its linear solver from the operator (fast-diagonalization
+    preconditioned CG or sparse LU, see :mod:`fraxolve.pde`), so there are no
     linear-solver knobs.
     """
 

@@ -8,6 +8,7 @@ import pytest
 from fraxolve.config import ConfigError, parse_config
 from fraxolve.mesh import build_graded
 from fraxolve.pde import solve_pde
+from fraxolve.spatial import fast_inverse
 
 
 def make(doc: dict) -> str:
@@ -189,6 +190,20 @@ class TestCoefficients:
         cfg = parse_config(make(doc))
         assert cfg.problem.coeffs.time_dependent is False
         assert cfg.problem.coeffs.a == (2.0,)
+
+    def test_variable_free_expressions_fold_to_floats(self):
+        doc = json.loads(make(BASE_PDE))
+        doc["grid"] = {"d": 2, "N": 6, "X": "pi"}
+        doc["problem"]["coefficients"] = {"a": ["2", "1 + pi/2"], "b": ["0", "0"], "c": "0"}
+        cfg = parse_config(make(doc))
+        coeffs = cfg.problem.coeffs
+        assert coeffs.a == (2.0, 1.0 + math.pi / 2)
+        assert coeffs.b == (0.0, 0.0) and coeffs.c == 0.0
+        assert not coeffs.has_convection and coeffs.time_dependent is False
+        assert fast_inverse(cfg.grid, cfg.problem.coeffs, cfg.problem.bc) is not None
+        # an expression with a variable stays a callable
+        doc["problem"]["coefficients"] = {"a": ["2", "1 + 0*y"]}
+        assert callable(parse_config(make(doc)).problem.coeffs.a[1])
 
     def test_wrong_arity(self):
         doc = json.loads(make(BASE_PDE))

@@ -18,7 +18,7 @@ from fraxolve.harness import (
 from fraxolve.mesh import build_graded
 from fraxolve.nonlinearity import builtin
 from fraxolve.pde import solve_pde
-from fraxolve.scalar import StepRestrictionWarning, solve_scalar
+from fraxolve.scalar import StepRestrictionWarning, error_envelope, solve_scalar
 from fraxolve.spatial import Grid
 from fraxolve.special import mittag_leffler
 
@@ -161,6 +161,20 @@ class TestTableRun:
                         study="time")
         with pytest.raises(ValueError):
             bad.n_for(64)
+
+
+class TestTheoryRates:
+    def test_temporal_rates_follow_the_envelope(self):
+        # final-time rate min(r, 2 - alpha): the error envelope's exponent at t = T
+        alpha, Ms = 0.5, (16, 32, 64)
+        spec = TableSpec(alphas=(alpha,), rs=(1.0, 3.0), Ms=Ms, n_rule="N=M/2", study="time")
+        rows = table_run(spec)
+        for r in spec.rs:
+            last = [row for row in rows if row["r"] == r][-1]
+            env = [error_envelope(build_graded(M, 1.0, r), alpha, r)[-1] for M in Ms[-2:]]
+            predicted = math.log2(env[0] / env[1])
+            assert predicted == pytest.approx(min(r, 2.0 - alpha), abs=1e-12)
+            assert abs(last["rate"] - predicted) <= 0.1, (r, last["rate"])
 
 
 class TestCSV:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -9,14 +10,16 @@ from fraxolve.caputo import l1_weights
 from fraxolve.harness import allen_cahn_problem
 from fraxolve.mesh import build_graded
 from fraxolve.nonlinearity import builtin
+import fraxolve.pde
 from fraxolve.pde import Problem, range_check_pde, solve_pde
-from fraxolve.scalar import SolverConfig
+from fraxolve.scalar import NonconvergenceError, SolverConfig
 from fraxolve.spatial import (
     BoundaryCondition,
     BoundarySpec,
     CoefficientField,
     Grid,
     assemble,
+    fast_inverse,
 )
 from fraxolve.special import mittag_leffler
 
@@ -225,3 +228,88 @@ class TestBasics:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * sol.fields.nbytes
+
+
+def _periodic_fisher():
+    return Problem(
+        coeffs=CoefficientField(a=(1.0, 1.0)),
+        bc=BoundarySpec.all_periodic(2),
+        f=builtin("fisher"),
+        u0=lambda pts: 0.5 + 0.3 * np.cos(pts[:, 0]) * np.cos(2.0 * pts[:, 1]),
+        alpha=0.4,
+    )
+
+
+def _mixed_allen_cahn():
+    # periodic x, Dirichlet y with nonzero, time-dependent data on y+
+    periodic = BoundaryCondition("periodic")
+    return Problem(
+        coeffs=CoefficientField(a=(1.0, 2.0), c=0.5),
+        bc=BoundarySpec(
+            {
+                "x-": periodic,
+                "x+": periodic,
+                "y-": BoundaryCondition("dirichlet", 0.0),
+                "y+": BoundaryCondition("dirichlet", lambda pts, t: 0.5 * t * np.cos(pts[:, 0])),
+            },
+            2,
+        ),
+        f=builtin("allen_cahn", alpha=0.5),
+        u0=lambda pts: 0.4 * np.sin(pts[:, 1]) * np.cos(pts[:, 0]),
+        alpha=0.5,
+    )
+
+
+FAST_CASES = {
+    "allen-cahn-dirichlet": (lambda: allen_cahn_problem(0.5), 16, 3.0, math.pi),
+    "fisher-periodic": (_periodic_fisher, 16, 2.0, 2.0 * math.pi),
+    "mixed-time-dependent-data": (_mixed_allen_cahn, 16, 2.0, 2.0 * math.pi),
+}
+
+
+def _solve_on_lu(monkeypatch, *args):
+    with monkeypatch.context() as mp:
+        mp.setattr(fraxolve.pde, "fast_inverse", lambda grid, coeffs, bc: None)
+        return solve_pde(*args)
+
+
+class TestFastLinearSolve:
+    @pytest.mark.parametrize("case", FAST_CASES)
+    def test_matches_lu_path(self, monkeypatch, case):
+        make, N, r, X = FAST_CASES[case]
+        problem, mesh, grid = make(), build_graded(12, 1.0, r), Grid(2, N, X)
+        assert fast_inverse(grid, problem.coeffs, problem.bc) is not None
+        fast = solve_pde(problem, mesh, grid)
+        lu = _solve_on_lu(monkeypatch, problem, mesh, grid)
+        assert fast.newton_iters == lu.newton_iters
+        np.testing.assert_allclose(fast.fields, lu.fields, rtol=0, atol=1e-10)
+        # CG needs several iterations per Newton step; each LU solve counts 1
+        assert lu.lin_iters == lu.newton_iters
+        assert all(n_lin >= n for n_lin, n in zip(fast.lin_iters, fast.newton_iters))
+        assert sum(fast.lin_iters) > sum(fast.newton_iters)
+
+    def test_cg_failure_is_loud(self, monkeypatch):
+        def stalled_cg(A, b, **kwargs):
+            return np.zeros_like(b), 200
+
+        monkeypatch.setattr(fraxolve.pde.spla, "cg", stalled_cg)
+        with pytest.raises(NonconvergenceError, match="CG") as exc:
+            solve_pde(allen_cahn_problem(0.5), build_graded(16, 1.0, 1.0), Grid(2, 8, math.pi))
+        assert exc.value.level == 1
+
+    def test_picard_steps_counted(self):
+        # a Jacobian of the wrong sign turns Newton directions into ascent
+        # directions: line searches stall and Picard steps follow
+        problem = allen_cahn_problem(0.5)
+        mesh, grid = build_graded(8, 1.0, 1.0), Grid(2, 8, math.pi)
+        good = solve_pde(problem, mesh, grid)
+        assert good.picard_steps == [0] * mesh.M
+        wrong = dataclasses.replace(
+            problem.f, deriv_s=lambda x, t, s: np.full(np.shape(s), -1e6)
+        )
+        sol = solve_pde(dataclasses.replace(problem, f=wrong), mesh, grid, SolverConfig(max_newton=60))
+        assert min(sol.picard_steps) > 0
+        assert all(p <= n for p, n in zip(sol.picard_steps, sol.newton_iters))
+        # each step is one LU solve (the matrix is not SPD), each Picard step one direct solve
+        assert sol.lin_iters == [n + p for n, p in zip(sol.newton_iters, sol.picard_steps)]
+        np.testing.assert_allclose(sol.fields, good.fields, rtol=0, atol=1e-9)

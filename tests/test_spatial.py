@@ -10,6 +10,7 @@ from fraxolve.spatial import (
     Grid,
     assemble,
     check_max_principle,
+    fast_inverse,
     m_matrix_report,
 )
 
@@ -244,3 +245,67 @@ class TestBoundarySpec:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             BoundaryCondition("neumann", 0.0)
+
+
+def _faces(x_kind, y_kind=None):
+    """Both faces of x (and y) of one kind; Dirichlet faces carry nonzero data."""
+    def face(kind):
+        return BoundaryCondition(kind, 1.5 if kind == "dirichlet" else None)
+    faces = {"x-": face(x_kind), "x+": face(x_kind)}
+    if y_kind is None:
+        return BoundarySpec(faces, 1)
+    return BoundarySpec({**faces, "y-": face(y_kind), "y+": face(y_kind)}, 2)
+
+
+class TestFastInverse:
+    @pytest.mark.parametrize(
+        "d, bc_kinds, a, c",
+        [
+            (1, ("dirichlet",), (1.0,), None),
+            (1, ("periodic",), (1.0,), None),
+            (2, ("dirichlet", "dirichlet"), (1.0, 1.0), None),
+            (2, ("periodic", "periodic"), (1.0, 1.0), None),
+            (2, ("periodic", "dirichlet"), (1.0, 1.0), None),
+            (2, ("dirichlet", "dirichlet"), (1.0, 2.0), None),
+            (2, ("dirichlet", "periodic"), (1.0, 2.0), 0.5),
+        ],
+    )
+    @pytest.mark.parametrize("s", [0.3, 40.0])
+    def test_inverts_shifted_operator(self, d, bc_kinds, a, c, s):
+        grid = Grid(d, 12, math.pi)
+        coeffs = CoefficientField(a=a, c=c)
+        bc = _faces(*bc_kinds)
+        A = assemble(grid, coeffs, 0.0, bc).matrix
+        inv = fast_inverse(grid, coeffs, bc)
+        x = np.random.default_rng(7).standard_normal(A.shape[0])
+        np.testing.assert_allclose(inv(A @ x + s * x, s), x, rtol=0, atol=1e-12)
+
+    def test_lam_min_is_smallest_eigenvalue(self):
+        grid = Grid(2, 10, math.pi)
+        coeffs = CoefficientField(a=(1.0, 2.0), c=0.5)
+        for bc in (_faces("dirichlet", "dirichlet"), _faces("periodic", "dirichlet")):
+            A = assemble(grid, coeffs, 0.0, bc).matrix.toarray()
+            want = np.linalg.eigvalsh(A).min()
+            assert fast_inverse(grid, coeffs, bc).lam_min == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "coeffs, bc",
+        [
+            (CoefficientField(a=(const(1.0), 1.0)), _faces("dirichlet", "dirichlet")),
+            (CoefficientField(a=(1.0, 1.0), b=(1.0, 0.0)), _faces("dirichlet", "dirichlet")),
+            (CoefficientField(a=(1.0, 1.0)), _faces("robin", "dirichlet")),
+            (
+                CoefficientField(a=(1.0, 1.0), c=lambda pts, t: 1.0 + t, time_dependent=True),
+                _faces("periodic", "periodic"),
+            ),
+        ],
+        ids=["callable-a", "convection", "robin", "time-dependent-c"],
+    )
+    def test_declines_other_operators(self, coeffs, bc):
+        assert fast_inverse(Grid(2, 8, math.pi), coeffs, bc) is None
+
+    def test_declines_one_sided_dirichlet(self):
+        bc = BoundarySpec(
+            {"x-": BoundaryCondition("dirichlet", 0.0), "x+": BoundaryCondition("robin", 1.0)}, 1
+        )
+        assert fast_inverse(Grid(1, 8, 1.0), CoefficientField(a=(1.0,)), bc) is None
