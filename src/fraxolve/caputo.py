@@ -6,6 +6,9 @@ At time level m the operator acts on a history U^0..U^m as
 
 with all kappa positive and the row-sum identity
 kappa_{m,m} = sum_{j<m} kappa_{m,j} (constants are annihilated).
+
+``march`` is the one level loop: every solver and check takes kappa_{m,m} and
+the history sum F^m = sum_{j<m} kappa_{m,j} U^j from it.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 from .mesh import TemporalMesh
 from .special import gamma
 
-__all__ = ["CaputoWeights", "l1_weights", "history_load", "apply_delta"]
+__all__ = ["CaputoWeights", "l1_weights", "history_load", "apply_delta", "march"]
 
 
 @dataclass(frozen=True)
@@ -77,6 +80,14 @@ def l1_weights(mesh: TemporalMesh, alpha: float, m: int) -> CaputoWeights:
     kappa[1:m] = np.maximum(d[1:] - d[:-1], 0.0)
     kappa[m] = d[m - 1]
     return CaputoWeights(m=m, kappa=kappa, alpha=alpha)
+
+
+def march(mesh: TemporalMesh, alpha: float, U: np.ndarray):
+    """Yield (m, kappa_{m,m}, F^m = kappa_{m,0..m-1} @ U[:m]) for m = 1..M; the
+    caller owns the (M+1, ...) history U and writes U[m] before the next level."""
+    for m in range(1, mesh.M + 1):
+        w = l1_weights(mesh, alpha, m)
+        yield m, w.diag, w.kappa[:m] @ U[:m]
 
 
 def history_load(weights: CaputoWeights, history) -> np.ndarray | float:

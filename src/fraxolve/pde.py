@@ -12,7 +12,6 @@ system is solved by one sparse LU factorization.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -20,10 +19,11 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .caputo import l1_weights
-from .mesh import FracParams, TemporalMesh, check_step_restriction
+# l1_weights and check_step_restriction are unused here: perfbench/tracing.py wraps them
+from .caputo import l1_weights, march
+from .mesh import TemporalMesh, check_step_restriction
 from .nonlinearity import Nonlinearity
-from .scalar import NonconvergenceError, SolverConfig, StepRestrictionWarning
+from .scalar import NonconvergenceError, SolverConfig, _gate_step_restriction
 from .spatial import (
     BoundarySpec,
     CoefficientField,
@@ -185,17 +185,8 @@ def solve_pde(
             f"discrete maximum principle violated: need h <= {mp.required_h:.4g}, "
             f"have h = {mp.h:.4g}"
         )
-    periodic = any(problem.bc.axis_periodic(k) for k in range(grid.d))
-    strict = cfg.strict_restriction or periodic  # periodic BC needs the strict form
-    restr = check_step_restriction(mesh, FracParams(alpha, problem.f.lam), strict=strict)
-    if not restr.passed:
-        msg = (
-            f"step restriction violated: max_j lambda tau_j^alpha = {restr.lhs:.4g} "
-            f"vs 1/Gamma(2-alpha) = {restr.rhs:.4g}"
-        )
-        if cfg.strict_restriction or periodic:
-            raise ValueError(msg)
-        warnings.warn(msg, StepRestrictionWarning)
+    periodic = any(problem.bc.axis_periodic(k) for k in range(grid.d))  # needs the strict form
+    _gate_step_restriction(mesh, alpha, problem.f.lam, cfg.strict_restriction or periodic)
 
     op = assemble(grid, problem.coeffs, float(mesh.nodes[1]), problem.bc)
     # in 1D the matrices are (cyclic) tridiagonal: their LU has no fill and
@@ -203,21 +194,19 @@ def solve_pde(
     fast = fast_inverse(grid, problem.coeffs, problem.bc) if grid.d == 2 else None
     pts_unknown = grid.points()[op.unknown_flat]
 
-    M = mesh.M
-    fields = np.empty((M + 1, grid.n_nodes))
+    fields = np.empty((mesh.M + 1, grid.n_nodes))
     fields[0] = problem.initial_field(grid)
 
     out = SolutionHistory(mesh=mesh, grid=grid, fields=fields)
-    for m in range(1, M + 1):
+    for m, kmm, F in march(mesh, alpha, fields):
         t_m = float(mesh.nodes[m])
         if problem.coeffs.time_dependent:
             op = assemble(grid, problem.coeffs, t_m, problem.bc)
-        w = l1_weights(mesh, alpha, m)
-        # sum whole rows, then keep the unknowns: a column-indexed slice would copy m rows
-        Fm = (w.kappa[:m] @ fields[:m])[op.unknown_flat]
+        # F sums whole rows; keep the unknowns (a column-indexed slice would copy m rows)
+        Fm = F[op.unknown_flat]
         g_dir = op.data_vector(t_m)
         u, iters, rnorm, lin_it, picard = _newton_level(
-            op, problem.f, t_m, w.diag, Fm, g_dir, fields[m - 1][op.unknown_flat],
+            op, problem.f, t_m, kmm, Fm, g_dir, fields[m - 1][op.unknown_flat],
             pts_unknown, cfg, m, fast,
         )
         fields[m] = op.scatter(u, t_m)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .caputo import history_load, l1_weights
+from .caputo import history_load, l1_weights, march  # perfbench/tracing.py wraps the unused two
 from .mesh import FracParams, TemporalMesh, check_step_restriction
 from .nonlinearity import Nonlinearity
 
@@ -75,13 +75,29 @@ class ScalarTrajectory:
             raise ValueError("trajectory must hold M + 1 values")
 
 
-def _solve_step(f: Nonlinearity, t: float, kmm: float, F: float, u_prev: float, cfg: SolverConfig):
+def _gate_step_restriction(mesh: TemporalMesh, alpha: float, lam: float, strict: bool) -> None:
+    """Raise ValueError (strict) or warn StepRestrictionWarning on a violated step restriction."""
+    restr = check_step_restriction(mesh, FracParams(alpha, lam), strict=strict)
+    if restr.passed:
+        return
+    msg = (
+        f"step restriction violated: max_j lambda tau_j^alpha = {restr.lhs:.4g} "
+        f"{'>=' if strict else '>'} 1/Gamma(2-alpha) = {restr.rhs:.4g} "
+        f"(worst j = {restr.worst_j})"
+    )
+    if strict:
+        raise ValueError(msg)
+    warnings.warn(msg, StepRestrictionWarning)
+
+
+def _solve_step(f: Nonlinearity, t: float, kmm: float, F: float, u_prev: float,
+                cfg: SolverConfig, m: int):
     """Root of g(U) = kmm U + f(t, U) - F, via safeguarded Newton."""
 
     def g(u):
         val = kmm * u + float(f.eval(None, t, u)) - F
         if not np.isfinite(val):
-            raise NonconvergenceError(-1, np.inf, f"f produced non-finite value at U={u}")
+            raise NonconvergenceError(m, np.inf, f"level {m}: f produced non-finite value at U={u}")
         return val
 
     tol = cfg.nonlin_tol * max(1.0, abs(F))
@@ -95,7 +111,7 @@ def _solve_step(f: Nonlinearity, t: float, kmm: float, F: float, u_prev: float, 
         width *= 2.0
         lo, hi = center - width, center + width
     else:
-        raise NonconvergenceError(-1, np.inf, "failed to bracket the per-step root")
+        raise NonconvergenceError(m, np.inf, f"level {m}: failed to bracket the per-step root")
 
     u = min(max(u_prev, lo), hi)
     for it in range(1, cfg.max_newton + 1):
@@ -119,7 +135,7 @@ def _solve_step(f: Nonlinearity, t: float, kmm: float, F: float, u_prev: float, 
     gu = g(u)
     if abs(gu) <= tol:
         return u, cfg.max_newton
-    raise NonconvergenceError(-1, abs(gu))
+    raise NonconvergenceError(m, abs(gu))
 
 
 def solve_scalar(
@@ -130,30 +146,12 @@ def solve_scalar(
     cfg: SolverConfig | None = None,
 ) -> ScalarTrajectory:
     cfg = cfg or _SCALAR_CFG
-    restr = check_step_restriction(
-        mesh, FracParams(alpha, f.lam), strict=cfg.strict_restriction
-    )
-    if not restr.passed:
-        msg = (
-            f"step restriction violated: max_j lambda tau_j^alpha = {restr.lhs:.4g} "
-            f"> 1/Gamma(2-alpha) = {restr.rhs:.4g} (worst j = {restr.worst_j})"
-        )
-        if cfg.strict_restriction:
-            raise ValueError(msg)
-        warnings.warn(msg, StepRestrictionWarning)
-
-    M = mesh.M
-    values = np.empty(M + 1)
+    _gate_step_restriction(mesh, alpha, f.lam, cfg.strict_restriction)
+    values = np.empty(mesh.M + 1)
     values[0] = u0
     iters = []
-    for m in range(1, M + 1):
-        w = l1_weights(mesh, alpha, m)
-        F = float(history_load(w, values[:m]))
-        try:
-            u, it = _solve_step(f, float(mesh.nodes[m]), w.diag, F, values[m - 1], cfg)
-        except NonconvergenceError as e:
-            raise NonconvergenceError(m, e.residual) from None
-        values[m] = u
+    for m, kmm, F in march(mesh, alpha, values):
+        values[m], it = _solve_step(f, float(mesh.nodes[m]), kmm, float(F), values[m - 1], cfg, m)
         iters.append(it)
     return ScalarTrajectory(mesh=mesh, values=values, newton_iters=iters)
 

@@ -123,14 +123,15 @@ def _ml_negative_quad(alpha: float, s: float) -> float:
     c = math.cos(alpha * math.pi)
     sn = math.sin(alpha * math.pi)
 
-    def rho(r):
+    def smooth(r):  # the integrand without its r^{alpha-1} factor
         ra = r**alpha
-        dens = (x * r ** (alpha - 1.0) * sn / math.pi) / (ra * ra + 2 * x * ra * c + x * x)
-        return dens * math.exp(-r)
+        return (x * sn / math.pi) * math.exp(-r) / (ra * ra + 2 * x * ra * c + x * x)
 
-    # split at r = 1 to isolate the integrable r^{alpha-1} singularity
-    v1, _ = quad(rho, 0.0, 1.0, epsabs=1e-14, epsrel=1e-12, limit=200)
-    v2, _ = quad(rho, 1.0, math.inf, epsabs=1e-14, epsrel=1e-12, limit=200)
+    # on [0, 1] the integrable r^{alpha-1} singularity goes into quad's algebraic weight
+    v1, _ = quad(smooth, 0.0, 1.0, weight="alg", wvar=(alpha - 1.0, 0.0),
+                 epsabs=1e-14, epsrel=1e-12, limit=200)
+    v2, _ = quad(lambda r: r ** (alpha - 1.0) * smooth(r), 1.0, math.inf,
+                 epsabs=1e-14, epsrel=1e-12, limit=200)
     return v1 + v2
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .caputo import apply_delta, l1_weights
+from .caputo import l1_weights, march  # l1_weights is unused: perfbench/tracing.py wraps it
 from .mesh import TemporalMesh, build_graded
 from .special import gamma, mittag_leffler
 
@@ -34,15 +34,14 @@ def solve_resolvent(mesh: TemporalMesh, alpha: float, lam: float, g) -> np.ndarr
     if g.shape[0] != mesh.M:
         raise ValueError(f"g must have M = {mesh.M} entries")
     V = np.zeros(mesh.M + 1)
-    for m in range(1, mesh.M + 1):
-        w = l1_weights(mesh, alpha, m)
-        pivot = w.diag - lam
+    for m, kmm, F in march(mesh, alpha, V):
+        pivot = kmm - lam
         if pivot <= 0.0:
             raise ValueError(
                 f"strict step restriction violated at level {m}: "
-                f"kappa_mm = {w.diag:.4g} <= lambda = {lam:.4g}"
+                f"kappa_mm = {kmm:.4g} <= lambda = {lam:.4g}"
             )
-        V[m] = (g[m - 1] + float(np.dot(w.kappa[:m], V[:m]))) / pivot
+        V[m] = (g[m - 1] + float(F)) / pivot
     return V
 
 
@@ -176,9 +175,7 @@ def build_barrier(
 
     def verify(c: float):
         B = _barrier_values(mesh, kinks, c)
-        dB = np.array(
-            [apply_delta(mesh, alpha, B[: m + 1]) - lam * B[m] for m in range(1, mesh.M + 1)]
-        )
+        dB = np.array([float(kmm * B[m] - F) - lam * B[m] for m, kmm, F in march(mesh, alpha, B)])
         t = mesh.nodes[1:]
         scale = max(1.0, float(np.abs(B).max()))
         early = t < t_anchor + c0

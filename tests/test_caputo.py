@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from fraxolve.caputo import apply_delta, history_load, l1_weights
+from fraxolve.caputo import apply_delta, history_load, l1_weights, march
 from fraxolve.mesh import TemporalMesh, build_graded
 from fraxolve.special import gamma
 
@@ -153,3 +153,27 @@ class TestHistoryLoad:
         w = l1_weights(mesh, 0.7, 30)
         got = history_load(w, np.ones(30))
         assert got == pytest.approx(w.diag, rel=1e-12)
+
+
+class TestMarch:
+    @pytest.mark.parametrize("shape", [(), (9,)])
+    def test_matches_weights_row_by_row(self, shape):
+        # the caller writes U[m] between levels; F^m is the whole-row product
+        rng = np.random.default_rng(7)
+        mesh = build_graded(24, 1.0, 2.5)
+        U = np.empty((25,) + shape)
+        U[0] = rng.standard_normal(shape)
+        levels = []
+        for m, kmm, F in march(mesh, 0.4, U):
+            w = l1_weights(mesh, 0.4, m)
+            assert kmm == w.diag
+            assert np.array_equal(F, w.kappa[:m] @ U[:m])
+            U[m] = rng.standard_normal(shape)
+            levels.append(m)
+        assert levels == list(range(1, 25))
+
+    def test_constant_history_gives_diag(self):
+        # row-sum identity at every level: F^m of ones == kappa_{m,m}
+        mesh = build_graded(40, 1.0, 3.0)
+        for m, kmm, F in march(mesh, 0.7, np.ones(41)):
+            assert F == pytest.approx(kmm, rel=1e-12)

@@ -172,7 +172,7 @@ class TestBasics:
             u0=lambda pts: 0.5 * np.ones(pts.shape[0]),
             alpha=0.5,
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"step restriction violated: .* >= .*worst j = 1\)"):
             solve_pde(problem, build_graded(4, 1.0, 1.0), Grid(1, 8, 1.0))
 
     def test_periodic_constant_equilibrium(self):

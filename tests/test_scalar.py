@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from fraxolve.mesh import TemporalMesh, build_graded
-from fraxolve.nonlinearity import builtin
+from fraxolve.nonlinearity import Nonlinearity, builtin
 from fraxolve.scalar import (
+    NonconvergenceError,
     SolverConfig,
     StepRestrictionWarning,
     error_envelope,
@@ -78,7 +79,7 @@ class TestSolveScalar:
         # on a coarse mesh even though the actual solve stays well-behaved
         f = builtin("allen_cahn", alpha=0.1)  # lam = 10
         mesh = build_graded(4, 1.0, 1.0)
-        with pytest.warns(StepRestrictionWarning):
+        with pytest.warns(StepRestrictionWarning, match=r" > .*worst j = 1\)"):
             traj = solve_scalar(f, 0.5, mesh, 0.5)
         assert np.all(np.isfinite(traj.values))
 
@@ -86,8 +87,14 @@ class TestSolveScalar:
         f = builtin("allen_cahn", alpha=0.1)
         mesh = build_graded(4, 1.0, 1.0)
         cfg = SolverConfig(strict_restriction=True)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"step restriction violated: .* >= .*worst j = 1\)"):
             solve_scalar(f, 0.5, mesh, 0.5, cfg)
+
+    def test_non_finite_reaction_names_level_and_reason(self):
+        f = Nonlinearity(eval=lambda x, t, s: np.nan * np.asarray(s), lam=0.0)
+        with pytest.raises(NonconvergenceError, match="non-finite") as exc:
+            solve_scalar(f, 0.5, build_graded(8, 1.0, 1.0), 0.5)
+        assert exc.value.level == 1
 
     def test_newton_iteration_counts(self):
         f = builtin("allen_cahn", alpha=0.5)
@@ -107,6 +114,38 @@ class TestSolveScalar:
             if prev is not None:
                 assert np.all(traj.values >= prev - 1e-10)
             prev = traj.values
+
+
+class TestTheoryRates:
+    """D^alpha u + u = 0, u(0) = 1: u = E_alpha(-t^alpha) against error_envelope."""
+
+    ALPHA = 0.5
+    MS = (128, 256, 512)
+
+    def _errors(self, r, log_variant=False):
+        f = builtin("linear", cstar=1.0)
+        final, ratios = [], []
+        for M in self.MS:
+            mesh = build_graded(M, 1.0, r)
+            traj = solve_scalar(f, 1.0, mesh, self.ALPHA)
+            exact = np.array([mittag_leffler(self.ALPHA, -tj**self.ALPHA) for tj in mesh.nodes])
+            err = np.abs(traj.values - exact)[1:]
+            final.append(err[-1])
+            env = error_envelope(mesh, self.ALPHA, r, log_variant=log_variant)
+            ratios.append(float(np.max(err / env)))
+        return np.array(final), np.array(ratios)
+
+    @pytest.mark.parametrize("r", [1.0, 3.0])
+    def test_rate_and_envelope_below_and_above_critical(self, r):
+        final, ratios = self._errors(r)
+        # error_envelope's exponent: min(r, 2 - alpha)
+        for rate in np.log2(final[:-1] / final[1:]):
+            assert rate == pytest.approx(min(r, 2.0 - self.ALPHA), abs=0.05)
+        assert np.all(ratios[1:] < 1.1 * ratios[:-1])
+
+    def test_envelope_at_critical_grading(self):
+        _, ratios = self._errors(2.0 - self.ALPHA, log_variant=True)
+        assert np.all(ratios[1:] < 1.1 * ratios[:-1])
 
 
 class TestRangeCheck:

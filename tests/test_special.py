@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning
 
 from fraxolve.special import MLParams, gamma, mittag_leffler, rgamma
 
@@ -128,6 +130,49 @@ class TestMittagLeffler:
                           (0.4, -5.0, 80), (0.3, -4.0, 120), (0.6, -10.0, 80)]:
             want = oracle(a, s, dps)
             assert mittag_leffler(a, s) == pytest.approx(want, rel=1e-9, abs=1e-15)
+
+    def test_negative_axis_quadrature_against_mpmath(self):
+        # points on the quadrature branch; reference: the series at raised
+        # precision where its largest term (~exp(|s|^(1/alpha))) is affordable,
+        # else the large-|s| asymptotic sum -sum_k s^-k / Gamma(1 - alpha k)
+        mpmath = pytest.importorskip("mpmath")
+
+        def series(a, s):
+            dps = int(abs(s) ** (1.0 / a) / 2.3) + 40
+            with mpmath.workdps(dps):
+                z, aa = mpmath.mpf(s), mpmath.mpf(a)
+                total, k = mpmath.mpf(1), 1
+                while True:
+                    term = z**k / mpmath.gamma(aa * k + 1)
+                    total += term
+                    if abs(term) < mpmath.mpf(10) ** (-dps + 5) and k * a > 2:
+                        return float(total)
+                    k += 1
+
+        def asymptotic(a, s):
+            with mpmath.workdps(40):
+                z, aa = mpmath.mpf(s), mpmath.mpf(a)
+                total, prev = mpmath.mpf(0), mpmath.inf
+                for k in range(1, 400):
+                    if abs(a * k - round(a * k)) < 1e-12:
+                        continue  # pole of Gamma(1 - alpha k): the term is zero
+                    term = -(z ** -k) * mpmath.rgamma(1 - aa * k)
+                    if abs(term) > prev:
+                        break  # divergent series: stop at the smallest term
+                    total += term
+                    prev = abs(term)
+                assert prev < 1e-25 * abs(total)
+                return float(total)
+
+        cases = [(0.2, -30.0, asymptotic), (0.2, -100.0, asymptotic),
+                 (0.3, -12.0, asymptotic), (0.3, -100.0, asymptotic),
+                 (0.5, -13.0, series), (0.5, -60.0, asymptotic),
+                 (0.7, -13.0, series), (0.7, -30.0, series),
+                 (0.9, -13.0, series), (0.9, -100.0, asymptotic)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", IntegrationWarning)
+            for a, s, oracle in cases:
+                assert mittag_leffler(a, s) == pytest.approx(oracle(a, s), rel=1e-11)
 
     def test_invalid_alpha(self):
         for a in (0.0, -0.5, 1.5):

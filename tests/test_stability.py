@@ -169,6 +169,14 @@ class TestBarrier:
         assert np.all(bar.values[: 33] == 0.0)
         assert bar.kinks[0] == t_anchor
 
+    def test_delta_values_match_apply_delta(self):
+        alpha, lam = 0.5, 1.0
+        mesh = build_graded(128, 1.0, 1.0)
+        bar = build_barrier(mesh, alpha, lam, c0=0.2)
+        B = bar.values
+        want = [apply_delta(mesh, alpha, B[: m + 1]) - lam * B[m] for m in range(1, 129)]
+        np.testing.assert_array_equal(bar.delta_values, want)
+
     def test_c0_precondition(self):
         alpha, lam = 0.5, 1.0
         c0_max = 0.5 * (lam * gamma(2 - alpha)) ** (-1 / alpha)
