@@ -8,7 +8,9 @@ with all kappa positive and the row-sum identity
 kappa_{m,m} = sum_{j<m} kappa_{m,j} (constants are annihilated).
 
 ``march`` is the one level loop: every solver and check takes kappa_{m,m} and
-the history sum F^m = sum_{j<m} kappa_{m,j} U^j from it.
+the history sum F^m = sum_{j<m} kappa_{m,j} U^j from it.  It sets up the
+mesh's step arrays once and fills each level in place; ``l1_weights`` runs
+the same level kernel, so there is one formula for the weights.
 """
 
 from __future__ import annotations
@@ -45,49 +47,69 @@ class CaputoWeights:
         return float(self.kappa[self.m])
 
 
-def _kernel_increments(t: np.ndarray, alpha: float, m: int) -> np.ndarray:
-    """d_j = [(t_m-t_{j-1})^{1-alpha} - (t_m-t_j)^{1-alpha}] / (tau_j Gamma(2-alpha)),
-    for j = 1..m."""
-    beta = 1.0 - alpha
-    tm = t[m]
-    lo = tm - t[:m]      # t_m - t_{j-1}
-    hi = tm - t[1 : m + 1]  # t_m - t_j
-    tau = t[1 : m + 1] - t[:m]
-    # lo^beta - hi^beta cancels badly whenever tau_j << t_m - t_j, which in
+def _l1_level(
+    nodes: np.ndarray, tau: np.ndarray, tau_g: np.ndarray, beta: float, m: int,
+    d: np.ndarray, k: np.ndarray,
+) -> float:
+    """Write level m of the L1 operator in place and return kappa_{m,m}.
+
+    ``tau`` holds the steps tau_j and ``tau_g`` = tau_j Gamma(2-alpha), beta = 1 - alpha;
+    both and the buffers ``d``, ``k`` have at least m entries.  On return d[:m] holds
+
+        d_j = [(t_m-t_{j-1})^beta - (t_m-t_j)^beta] / (tau_j Gamma(2-alpha)),  j = 1..m,
+
+    and k[:m] holds kappa_{m,0..m-1}.
+    """
+    n = m - 1
+    hi, z = d[:n], k[:n]
+    np.subtract(nodes[m], nodes[1:m], out=hi)  # t_m - t_j, j < m
+    # lo^beta - hi^beta (lo = hi + tau_j) cancels badly whenever tau_j << hi, which in
     # turn makes the second differences kappa_{m,j} = d_{j+1} - d_j come out
     # with the wrong sign on strongly graded meshes.  The expm1/log1p form
     # hi^beta * expm1(beta * log1p(tau/hi)) is accurate to full relative
-    # precision, so use it for every j with hi > 0 (j = m has hi = 0).
-    interior = hi > 0
-    safe_hi = np.where(interior, hi, 1.0)
-    diff = np.where(
-        interior,
-        safe_hi**beta * np.expm1(beta * np.log1p(tau / safe_hi)),
-        lo**beta,
-    )
-    return diff / (tau * gamma(2.0 - alpha))
+    # precision, so use it for every j with hi > 0.
+    np.divide(tau[:n], hi, out=z)
+    np.log1p(z, out=z)
+    np.multiply(z, beta, out=z)
+    np.expm1(z, out=z)
+    np.power(hi, beta, out=hi)
+    np.multiply(hi, z, out=hi)
+    # j = m has hi = 0 and lo = tau_m; an array power, as for the other j
+    np.power(tau[n:m], beta, out=d[n:m])
+    np.divide(d[:m], tau_g[:m], out=d[:m])
+    k[0] = d[0]
+    # the increments are provably nondecreasing in j; floor at zero so 1-ulp
+    # rounding cannot produce a negative off-diagonal weight
+    np.subtract(d[1:m], d[:n], out=k[1:m])
+    np.maximum(k[1:m], 0.0, out=k[1:m])
+    return float(d[n])
 
 
 def l1_weights(mesh: TemporalMesh, alpha: float, m: int) -> CaputoWeights:
     """Weights of the L1 operator at level m, 1 <= m <= M."""
     if not 1 <= m <= mesh.M:
         raise ValueError(f"level m must be in [1, {mesh.M}], got {m}")
-    d = _kernel_increments(mesh.nodes, alpha, m)
+    tau = np.diff(mesh.nodes[: m + 1])
     kappa = np.empty(m + 1)
-    kappa[0] = d[0]
-    # the increments are provably nondecreasing in j; floor at zero so 1-ulp
-    # rounding cannot produce a negative off-diagonal weight
-    kappa[1:m] = np.maximum(d[1:] - d[:-1], 0.0)
-    kappa[m] = d[m - 1]
+    kappa[m] = _l1_level(mesh.nodes, tau, tau * gamma(2.0 - alpha), 1.0 - alpha, m, np.empty(m), kappa)
     return CaputoWeights(m=m, kappa=kappa, alpha=alpha)
 
 
 def march(mesh: TemporalMesh, alpha: float, U: np.ndarray):
     """Yield (m, kappa_{m,m}, F^m = kappa_{m,0..m-1} @ U[:m]) for m = 1..M; the
-    caller owns the (M+1, ...) history U and writes U[m] before the next level."""
+    caller owns the (M+1, ...) history U and writes U[m] before the next level.
+
+    The steps, tau_j Gamma(2-alpha) and two length-M work buffers are set up
+    once per call; each level is filled in place by the kernel ``l1_weights``
+    uses, so both give the same weights bit for bit.  F^m never shares the buffers.
+    """
+    tau = mesh.steps
+    tau_g = tau * gamma(2.0 - alpha)
+    beta = 1.0 - alpha
+    d, k = np.empty(mesh.M), np.empty(mesh.M)
     for m in range(1, mesh.M + 1):
-        w = l1_weights(mesh, alpha, m)
-        yield m, w.diag, w.kappa[:m] @ U[:m]
+        kmm = _l1_level(mesh.nodes, tau, tau_g, beta, m, d, k)
+        yield m, kmm, k[:m] @ U[:m]
 
 
 def history_load(weights: CaputoWeights, history) -> np.ndarray | float:

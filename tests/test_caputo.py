@@ -155,7 +155,62 @@ class TestHistoryLoad:
         assert got == pytest.approx(w.diag, rel=1e-12)
 
 
+MARCH_MESHES = {
+    "uniform": lambda: build_graded(30, 1.0, 1.0),
+    "graded": lambda: build_graded(30, 1.0, 3.0),
+    "hand-built": lambda: TemporalMesh(np.array([0.0, 0.01, 0.05, 0.051, 0.3, 0.31, 1.0, 2.5])),
+    "M=1": lambda: build_graded(1, 1.0, 3.0),
+    "M=2": lambda: build_graded(2, 1.0, 3.0),
+}
+
+
 class TestMarch:
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])  # 0.5: numpy's sqrt path for **0.5
+    @pytest.mark.parametrize("mesh_name", MARCH_MESHES)
+    def test_bitwise_equal_to_weights(self, mesh_name, alpha):
+        mesh = MARCH_MESHES[mesh_name]()
+        rng = np.random.default_rng(13)
+        U = np.empty((mesh.M + 1, 5))
+        U[0] = rng.standard_normal(5)
+        for m, kmm, F in march(mesh, alpha, U):
+            w = l1_weights(mesh, alpha, m)
+            assert kmm == w.diag
+            assert np.array_equal(F, w.kappa[:m] @ U[:m])
+            U[m] = rng.standard_normal(5)
+
+    def test_yielded_history_sum_is_not_a_reused_buffer(self):
+        mesh = build_graded(12, 1.0, 2.0)
+        U = np.ones((13, 4))
+        levels = march(mesh, 0.3, U)
+        _, _, held = next(levels)
+        kept = held.copy()
+        for m, _, F in levels:
+            U[m] = 2.0 * m
+            assert not np.shares_memory(F, held)
+        assert np.array_equal(held, kept)
+
+    def test_weights_against_mpmath(self):
+        # independent of the shared kernel: the L1 formula at 40 digits on the
+        # same nodes.  d_1 = kappa_{m,0} and d_m = kappa_{m,m} come out to full
+        # relative precision; kappa_{m,j} = d_{j+1} - d_j inherits the rounding
+        # of d_{j+1} (kappa_{38,1} ~ 2e-5 d_2 here), so it is held to that.
+        mpmath = pytest.importorskip("mpmath")
+        mesh, alpha = build_graded(40, 1.0, 3.0), 0.3
+        eps = np.finfo(float).eps
+        with mpmath.workdps(40):
+            t = [mpmath.mpf(float(x)) for x in mesh.nodes]
+            beta = 1 - mpmath.mpf(alpha)
+            g = mpmath.gamma(2 - mpmath.mpf(alpha))
+            for m in range(1, mesh.M + 1):
+                d = [((t[m] - t[j - 1]) ** beta - (t[m] - t[j]) ** beta) / ((t[j] - t[j - 1]) * g)
+                     for j in range(1, m + 1)]
+                want = [d[0]] + [d[j] - d[j - 1] for j in range(1, m)] + [d[m - 1]]
+                got = l1_weights(mesh, alpha, m).kappa
+                for j in (0, m):
+                    assert abs(got[j] - want[j]) <= 1e-12 * want[j]
+                for j in range(1, m):
+                    assert abs(got[j] - want[j]) <= 1e-12 * want[j] + 4 * eps * d[j]
+
     @pytest.mark.parametrize("shape", [(), (9,)])
     def test_matches_weights_row_by_row(self, shape):
         # the caller writes U[m] between levels; F^m is the whole-row product

@@ -1,12 +1,15 @@
 import dataclasses
+import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from fraxolve.caputo import l1_weights
+from fraxolve.config import parse_config
 from fraxolve.harness import allen_cahn_problem
 from fraxolve.mesh import build_graded
 from fraxolve.nonlinearity import builtin
@@ -313,3 +316,69 @@ class TestFastLinearSolve:
         # each step is one LU solve (the matrix is not SPD), each Picard step one direct solve
         assert sol.lin_iters == [n + p for n, p in zip(sol.newton_iters, sol.picard_steps)]
         np.testing.assert_allclose(sol.fields, good.fields, rtol=0, atol=1e-9)
+
+
+def _fresh_lu(A, shift, rhs):
+    """The LU solve of (A + diag(shift)) x = rhs with the matrix built from scratch."""
+    return spla.splu((A + sp.diags(np.broadcast_to(shift, rhs.shape))).tocsc()).solve(rhs)
+
+
+def _robin_bc():
+    return BoundarySpec(
+        {"x-": BoundaryCondition("dirichlet", 0.0), "x+": BoundaryCondition("robin", 1.5)}, 1
+    )
+
+
+LU_OPERATORS = {
+    "1d-dirichlet": lambda: assemble(Grid(1, 32, 1.0), CoefficientField(a=(1.0,)), 0.0,
+                                     BoundarySpec.dirichlet0(1)),
+    "1d-periodic": lambda: assemble(Grid(1, 32, 2.0 * math.pi),
+                                    CoefficientField(a=(lambda x, t: 1.0 + 0.5 * np.sin(x[:, 0]),)),
+                                    0.0, BoundarySpec.all_periodic(1)),
+    "1d-robin": lambda: assemble(Grid(1, 32, 1.0), CoefficientField(a=(1.0,), c=0.3), 0.0, _robin_bc()),
+    "2d-variable-a": lambda: assemble(Grid(2, 12, math.pi),
+                                      CoefficientField(a=(lambda x, t: 1.0 + 0.3 * np.sin(x[:, 0]), 2.0)),
+                                      0.0, BoundarySpec.dirichlet0(2)),
+}
+
+
+class TestLUPattern:
+    @pytest.mark.parametrize("case", LU_OPERATORS)
+    def test_bitwise_equal_to_fresh_lu(self, case):
+        # successive shifts on one pattern: vector (Newton), scalar (Picard),
+        # vector again; no diagonal from an earlier call may survive
+        A = LU_OPERATORS[case]().matrix
+        lu = fraxolve.pde._LUPattern.of(A)
+        rng = np.random.default_rng(5)
+        n = A.shape[0]
+        for shift in (4.0 + rng.uniform(-1, 1, n), 3.7, 60.0 + rng.uniform(-5, 5, n), 0.25):
+            rhs = rng.standard_normal(n)
+            x, n_lin = fraxolve.pde._linear_solve(A, shift, rhs, None, lu, 1)
+            assert n_lin == 1
+            assert np.array_equal(x, _fresh_lu(A, shift, rhs))
+
+    def test_reassembled_operator_matches_fresh_lu_every_step(self, monkeypatch):
+        # a t-dependent coefficient reassembles L_h every level; each level
+        # must factor its own operator, not the pattern of an earlier one
+        rc = parse_config(json.dumps({
+            "mesh": {"M": 30, "T": 1.0, "r": 2.0},
+            "grid": {"d": 1, "N": 32},
+            "problem": {
+                "alpha": 0.4,
+                "f": {"kind": "fisher"},
+                "u0": "0.5 + 0.3*cos(2*x)",
+                "coefficients": {"a": ["1 + 0.5*t*sin(x)"]},
+                "bc": {"all": "periodic"},
+            },
+        }))
+        assert rc.problem.coeffs.time_dependent
+        args = (rc.problem, rc.mesh, rc.grid, rc.solver)
+        sol = solve_pde(*args)
+        with monkeypatch.context() as mp:
+            mp.setattr(fraxolve.pde, "_linear_solve",
+                       lambda A, shift, rhs, fast, lu, m: (_fresh_lu(A, shift, rhs), 1))
+            fresh = solve_pde(*args)
+        assert np.array_equal(sol.fields, fresh.fields)
+        assert sol.newton_iters == fresh.newton_iters
+        assert sol.lin_iters == fresh.lin_iters
+        assert sol.picard_steps == fresh.picard_steps
