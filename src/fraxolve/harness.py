@@ -4,6 +4,10 @@ Two-mesh convention (the comparison is restricted to coincident nodes, no
 interpolation): a temporal study doubles M at fixed N; a spatial study
 doubles N and re-ties M to the study's N-rule.  Graded meshes with a common
 r nest under M-doubling, uniform spatial grids nest under N-doubling.
+
+A table is computed serially and streamed: each run is solved when a row
+first needs it and dropped after the last row that needs it, so peak memory
+is about one coarse/fine pair of solution histories.
 """
 
 from __future__ import annotations
@@ -11,8 +15,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -20,7 +22,7 @@ import numpy as np
 
 from .mesh import TemporalMesh, build_graded
 from .nonlinearity import builtin
-from .pde import Problem, SolutionHistory, SolverConfig, solve_pde
+from .pde import Problem, SolutionHistory, solve_pde
 from .scalar import ScalarTrajectory
 from .spatial import BoundarySpec, CoefficientField, Grid
 
@@ -45,15 +47,11 @@ class BudgetError(RuntimeError):
 
 @dataclass
 class ErrorReport:
-    alpha: float
     r: float | None
     M: int
     N: int | None
     err_final: float
     err_global: float
-    mode: str  # 'two-mesh' | 'exact'
-    rate_final: float | None = None
-    rate_global: float | None = None
 
 
 def rate(err_coarse: float, err_fine: float) -> float:
@@ -86,48 +84,42 @@ def _restrict_field(field_flat: np.ndarray, fine: Grid, stride: int) -> np.ndarr
     return f[sl].ravel()
 
 
+def _report(run, diffs: np.ndarray) -> ErrorReport:
+    """The report of ``run`` from its per-level errors ``diffs``."""
+    N = None if isinstance(run, ScalarTrajectory) else run.grid.N
+    return ErrorReport(
+        r=run.mesh.r, M=run.mesh.M, N=N,
+        err_final=float(diffs[-1]), err_global=float(diffs.max()),
+    )
+
+
 def two_mesh_error(run_coarse, run_fine) -> ErrorReport:
     """Max nodal difference at coincident (t, x); err_final at t = T, err_global over all levels."""
+    k = _nesting_stride(run_coarse.mesh, run_fine.mesh)
     if isinstance(run_coarse, ScalarTrajectory):
-        k = _nesting_stride(run_coarse.mesh, run_fine.mesh)
-        diffs = np.abs(run_coarse.values - run_fine.values[::k])
-        return ErrorReport(
-            alpha=math.nan, r=run_coarse.mesh.r, M=run_coarse.mesh.M, N=None,
-            err_final=float(diffs[-1]), err_global=float(diffs.max()), mode="two-mesh",
-        )
+        return _report(run_coarse, np.abs(run_coarse.values - run_fine.values[::k]))
     ck: SolutionHistory = run_coarse
     fk: SolutionHistory = run_fine
-    kt = _nesting_stride(ck.mesh, fk.mesh)
     ks = _spatial_stride(ck.grid, fk.grid)
     diffs = np.empty(ck.mesh.M + 1)
     for m in range(ck.mesh.M + 1):
-        fine_field = fk.fields[m * kt]
+        fine_field = fk.fields[m * k]
         if ks > 1:
             fine_field = _restrict_field(fine_field, fk.grid, ks)
         diffs[m] = np.max(np.abs(ck.fields[m] - fine_field))
-    return ErrorReport(
-        alpha=math.nan, r=ck.mesh.r, M=ck.mesh.M, N=ck.grid.N,
-        err_final=float(diffs[-1]), err_global=float(diffs.max()), mode="two-mesh",
-    )
+    return _report(ck, diffs)
 
 
 def exact_error(run, exact: Callable) -> ErrorReport:
     """Errors against a supplied truth: exact(t) for scalar runs, exact(points, t) for PDE runs."""
     if isinstance(run, ScalarTrajectory):
         truth = np.array([exact(t) for t in run.mesh.nodes])
-        diffs = np.abs(run.values - truth)
-        return ErrorReport(
-            alpha=math.nan, r=run.mesh.r, M=run.mesh.M, N=None,
-            err_final=float(diffs[-1]), err_global=float(diffs.max()), mode="exact",
-        )
+        return _report(run, np.abs(run.values - truth))
     pts = run.grid.points()
     diffs = np.empty(run.mesh.M + 1)
     for m, t in enumerate(run.mesh.nodes):
         diffs[m] = np.max(np.abs(run.fields[m] - exact(pts, t)))
-    return ErrorReport(
-        alpha=math.nan, r=run.mesh.r, M=run.mesh.M, N=run.grid.N,
-        err_final=float(diffs[-1]), err_global=float(diffs.max()), mode="exact",
-    )
+    return _report(run, diffs)
 
 
 def allen_cahn_problem(alpha: float) -> Problem:
@@ -151,8 +143,6 @@ _N_RULES = {
     "N=2M": lambda M: 2 * M,
     "M=N^2": lambda M: int(round(math.isqrt(M))),
     "N=M/2": lambda M: M // 2,
-    "N=M/4": lambda M: M // 4,
-    "N=M/128": lambda M: M // 128,
 }
 
 
@@ -161,22 +151,15 @@ class TableSpec:
     alphas: tuple
     rs: Callable | tuple  # tuple of floats, or callable alpha -> tuple
     Ms: tuple
-    n_rule: str  # key of _N_RULES or 'fixed'
+    n_rule: str  # key of _N_RULES
     study: str  # 'time' | 'space' | 'global'
-    fixed_N: int | None = None
-    T: float = 1.0
     problem_factory: Callable = allen_cahn_problem
-    solver: SolverConfig | None = None
     max_cost: float | None = 5e13  # ~ sum of M^2 * n_unknown over runs
 
     def rs_for(self, alpha: float) -> tuple:
         return tuple(self.rs(alpha)) if callable(self.rs) else tuple(self.rs)
 
     def n_for(self, M: int) -> int:
-        if self.n_rule == "fixed":
-            if self.fixed_N is None:
-                raise ValueError("fixed N-rule needs fixed_N")
-            return self.fixed_N
         try:
             return _N_RULES[self.n_rule](M)
         except KeyError:
@@ -201,27 +184,27 @@ def _run_pairs(spec: TableSpec):
                 yield alpha, r, (M, N), fine
 
 
-def _distinct_runs(spec: TableSpec) -> list[tuple]:
-    """The distinct (alpha, r, M, N) solves the table needs, in first-use order."""
-    runs = {}
-    for alpha, r, coarse, fine in _run_pairs(spec):
+def _last_use(spec: TableSpec) -> dict[tuple, int]:
+    """Each distinct (alpha, r, M, N) solve, in first-use order, mapped to the last row that needs it."""
+    last = {}
+    for i, (alpha, r, coarse, fine) in enumerate(_run_pairs(spec)):
         for M, N in (coarse, fine):
-            runs.setdefault((alpha, r, M, N), None)
-    return list(runs)
+            last[(alpha, r, M, N)] = i  # re-setting a key keeps its first-use position
+    return last
 
 
 def _estimate_cost(spec: TableSpec) -> float:
     """Sum of M^2 * (N - 1)^2 over the distinct runs."""
-    return float(sum(M**2 * max(1, (N - 1) ** 2) for _, _, M, N in _distinct_runs(spec)))
+    return float(sum(M**2 * max(1, (N - 1) ** 2) for _, _, M, N in _last_use(spec)))
 
 
-def table_run(spec: TableSpec, workers: int | None = None) -> list[dict]:
+def table_run(spec: TableSpec) -> list[dict]:
     """Run the convergence study and return CSV-ready rows.
 
     Temporal/global studies double M at fixed N; spatial studies double N
-    with M re-tied by the N-rule.  Independent (alpha, r, M, N) solves run
-    on a thread pool sized by FRAXOLVE_THREADS (default 1, deterministic
-    either way: each run is independent and rows are emitted in spec order).
+    with M re-tied by the N-rule.  Runs are solved serially, in first-use
+    order, each when its first row needs it, and released after its last
+    row: peak memory is about one coarse/fine pair of histories.
     """
     if spec.max_cost is not None:
         est = _estimate_cost(spec)
@@ -229,32 +212,23 @@ def table_run(spec: TableSpec, workers: int | None = None) -> list[dict]:
             raise BudgetError(
                 f"estimated cost {est:.3g} exceeds budget {spec.max_cost:.3g}"
             )
-    if workers is None:
-        workers = int(os.environ.get("FRAXOLVE_THREADS", "1"))
-
-    def run_one(key):
-        alpha, r, M, N = key
-        problem = spec.problem_factory(alpha)
-        mesh = build_graded(M, spec.T, r)
-        grid = Grid(d=2, N=N, X=math.pi)
-        return solve_pde(problem, mesh, grid, spec.solver)
-
-    results: dict[tuple, SolutionHistory] = {}
-    keys = _distinct_runs(spec)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            for key, sol in zip(keys, ex.map(run_one, keys)):
-                results[key] = sol
-    else:
-        for key in keys:
-            results[key] = run_one(key)
-
+    last = _last_use(spec)
+    live: dict[tuple, SolutionHistory] = {}
     rows = []
     series = prev_err = None
-    for alpha, r, coarse, fine in _run_pairs(spec):
+    for i, (alpha, r, coarse, fine) in enumerate(_run_pairs(spec)):
         if (alpha, r) != series:  # a new series has no rate in its first row
             series, prev_err = (alpha, r), None
-        rep = two_mesh_error(results[(alpha, r) + coarse], results[(alpha, r) + fine])
+        keys = ((alpha, r) + coarse, (alpha, r) + fine)
+        for key, (M, N) in zip(keys, (coarse, fine)):
+            if key not in live:
+                live[key] = solve_pde(
+                    spec.problem_factory(alpha), build_graded(M, 1.0, r), Grid(d=2, N=N, X=math.pi)
+                )
+        rep = two_mesh_error(live[keys[0]], live[keys[1]])
+        for key in keys:
+            if last[key] == i:
+                del live[key]
         err = rep.err_global if spec.study == "global" else rep.err_final
         rows.append({
             "alpha": alpha, "r": r, "M": coarse[0], "N": coarse[1],

@@ -7,8 +7,10 @@ range preservation for invariant-range reactions.  The operator picks the
 linear solver: when a 2D L_h has a fast inverse (``spatial.fast_inverse``),
 a Picard matrix L_h + kappa_mm I is inverted directly and an SPD Newton
 matrix is solved by CG preconditioned with that inverse; every other
-system is solved by one sparse LU factorization.  The LU matrix pattern is
-built once per assembled operator; a solve only rewrites its diagonal.
+system is solved by one sparse LU factorization.  Both CG and LU take
+L_h + diag(shift) from one CSC matrix built once per assembled operator; a
+solve only rewrites its diagonal.  A ``t``-dependent L_h is assembled once
+per level, at t_m.
 """
 
 from __future__ import annotations
@@ -97,12 +99,12 @@ def _pcg(J: sp.spmatrix, rhs: np.ndarray, fast: FastInverse, s: float, m: int):
 
 
 @dataclass
-class _LUPattern:
-    """A + diag(shift) as one CSC matrix for ``splu``, set up once per assembled A.
+class _ShiftedMatrix:
+    """A + diag(shift) as one CSC matrix, set up once per assembled A.
 
-    ``J`` has the off-diagonal entries of A and a full diagonal; a solve
+    ``J`` has the off-diagonal entries of A and a full diagonal; ``with_shift``
     only rewrites the diagonal entries (positions ``diag_pos`` in J.data)
-    with A's diagonal plus the shift.
+    with A's diagonal plus the shift, so the sparsity never changes.
     """
 
     J: sp.csc_matrix
@@ -110,7 +112,7 @@ class _LUPattern:
     a_diag: np.ndarray
 
     @classmethod
-    def of(cls, A: sp.spmatrix) -> "_LUPattern":
+    def of(cls, A: sp.spmatrix) -> "_ShiftedMatrix":
         n = A.shape[0]
         a_diag = A.diagonal()
         # drop A's diagonal before adding I, so no a_ii + 1 can cancel to a missing entry
@@ -118,28 +120,30 @@ class _LUPattern:
         cols = np.repeat(np.arange(n), np.diff(J.indptr))
         return cls(J, np.flatnonzero(J.indices == cols), a_diag)
 
-    def solve(self, shift, rhs: np.ndarray) -> np.ndarray:
+    def with_shift(self, shift) -> sp.csc_matrix:
+        """J rewritten in place to A + diag(shift); valid until the next call."""
         self.J.data[self.diag_pos] = self.a_diag + shift
-        return spla.splu(self.J).solve(rhs)
+        return self.J
 
 
 def _linear_solve(
-    A: sp.spmatrix, shift, rhs: np.ndarray, fast: FastInverse | None, lu: _LUPattern, m: int
+    shifted: _ShiftedMatrix, shift, rhs: np.ndarray, fast: FastInverse | None, m: int
 ) -> tuple[np.ndarray, int]:
     """Solve (A + diag(shift)) x = rhs; returns x and the linear iterations.
 
     With a fast inverse of A and a provably SPD matrix, min(shift) >
     -lambda_min(A): a constant shift is inverted directly, any other runs
-    CG.  Everything else is one sparse LU solve on ``lu``, the pattern of A
-    built once per assembled operator.  Direct solves count 1.
+    CG.  Everything else is one sparse LU solve.  CG and LU both take the
+    matrix from ``shifted``, built once per assembled operator.  Direct
+    solves count 1.
     """
     if fast is not None:
         lo, hi = float(np.min(shift)), float(np.max(shift))
         if lo > -fast.lam_min:
             if lo == hi:
                 return fast(rhs, lo), 1
-            return _pcg(A + sp.diags(shift), rhs, fast, 0.5 * (lo + hi), m)
-    return lu.solve(shift, rhs), 1
+            return _pcg(shifted.with_shift(shift), rhs, fast, 0.5 * (lo + hi), m)
+    return spla.splu(shifted.with_shift(shift)).solve(rhs), 1
 
 
 def _newton_level(
@@ -154,7 +158,7 @@ def _newton_level(
     cfg: SolverConfig,
     m: int,
     fast: FastInverse | None,
-    lu: _LUPattern,
+    shifted: _ShiftedMatrix,
 ):
     A = op.matrix
 
@@ -175,7 +179,7 @@ def _newton_level(
             dvals = kmm + np.asarray(f.deriv_s(pts, t, u))
         else:
             dvals = kmm  # Picard: frozen nonlinearity
-        step, n_lin = _linear_solve(A, dvals, -res, fast, lu, m)
+        step, n_lin = _linear_solve(shifted, dvals, -res, fast, m)
         lin_total += n_lin
         # residual-norm line search, shrink by cfg.damping down to 2^-20
         damp = 1.0
@@ -189,7 +193,7 @@ def _newton_level(
             damp *= cfg.damping
         else:
             # line search stalled; Picard step (monotone at small tau)
-            step, n_lin = _linear_solve(A, kmm, -residual(u), fast, lu, m)
+            step, n_lin = _linear_solve(shifted, kmm, -residual(u), fast, m)
             lin_total += n_lin
             picard += 1
             u = u + step
@@ -219,7 +223,7 @@ def solve_pde(
     _gate_step_restriction(mesh, alpha, problem.f.lam, cfg.strict_restriction or periodic)
 
     op = assemble(grid, problem.coeffs, float(mesh.nodes[1]), problem.bc)
-    lu = _LUPattern.of(op.matrix)
+    shifted = _ShiftedMatrix.of(op.matrix)
     # in 1D the matrices are (cyclic) tridiagonal: their LU has no fill and
     # costs less than the per-call overhead of the transforms and of CG
     fast = fast_inverse(grid, problem.coeffs, problem.bc) if grid.d == 2 else None
@@ -231,15 +235,15 @@ def solve_pde(
     out = SolutionHistory(mesh=mesh, grid=grid, fields=fields)
     for m, kmm, F in march(mesh, alpha, fields):
         t_m = float(mesh.nodes[m])
-        if problem.coeffs.time_dependent:
+        if problem.coeffs.time_dependent and m > 1:  # the operator at t_1 is built above
             op = assemble(grid, problem.coeffs, t_m, problem.bc)
-            lu = _LUPattern.of(op.matrix)
+            shifted = _ShiftedMatrix.of(op.matrix)
         # F sums whole rows; keep the unknowns (a column-indexed slice would copy m rows)
         Fm = F[op.unknown_flat]
         g_dir = op.data_vector(t_m)
         u, iters, rnorm, lin_it, picard = _newton_level(
             op, problem.f, t_m, kmm, Fm, g_dir, fields[m - 1][op.unknown_flat],
-            pts_unknown, cfg, m, fast, lu,
+            pts_unknown, cfg, m, fast, shifted,
         )
         fields[m] = op.scatter(u, t_m)
         out.newton_iters.append(iters)

@@ -1,5 +1,6 @@
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -150,6 +151,32 @@ class TestTableRun:
         assert len(set(solved)) == len(solved)  # each distinct run solved once
         assert _estimate_cost(spec) == sum(M**2 * (N - 1) ** 2 for M, N in solved)
 
+    def test_streamed_table_holds_at_most_one_finished_run(self, monkeypatch):
+        import fraxolve.harness
+
+        alive, solved = [], []
+
+        def recording_solve(problem, mesh, grid, cfg=None):
+            held = [key for key, ref in alive if ref() is not None]
+            assert len(held) <= 1, f"solving {(mesh.M, grid.N)} while {held} are held"
+            solved.append((mesh.M, grid.N))
+            sol = solve_pde(problem, mesh, grid, cfg)
+            alive.append(((mesh.M, grid.N), weakref.ref(sol)))
+            return sol
+
+        monkeypatch.setattr(fraxolve.harness, "solve_pde", recording_solve)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", StepRestrictionWarning)
+            table_run(TableSpec(alphas=(0.5,), rs=(1.0, 3.0), Ms=(4, 8), n_rule="N=M/2",
+                                study="time"))
+            assert solved == [(4, 2), (8, 2), (8, 4), (16, 4)] * 2
+            # the rows of an M=N^2 space study share a run: (16, 4) is row 0's
+            # fine run and row 1's coarse run, kept across the rows, solved once
+            solved.clear()
+            table_run(TableSpec(alphas=(0.5,), rs=(1.0,), Ms=(4, 16), n_rule="M=N^2",
+                                study="space"))
+            assert solved == [(4, 2), (16, 4), (64, 8)]
+
     def test_n_rules(self):
         spec = TableSpec(alphas=(0.5,), rs=(1.0,), Ms=(64,), n_rule="M=N^2",
                          study="space")
@@ -175,6 +202,25 @@ class TestTheoryRates:
             predicted = math.log2(env[0] / env[1])
             assert predicted == pytest.approx(min(r, 2.0 - alpha), abs=1e-12)
             assert abs(last["rate"] - predicted) <= 0.1, (r, last["rate"])
+
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5])
+    def test_global_rates_follow_the_envelope(self, alpha):
+        # sup-over-levels rate min(alpha r, 2 - alpha), what a study="global"
+        # table measures; D_t^alpha u + u = 0 has solution E_alpha(-t^alpha),
+        # and the observed rates approach the prediction from below
+        f = builtin("linear", cstar=1.0)
+        Ms = (128, 256, 512)
+        for r in (1.0, (2.0 - alpha) / alpha):
+            errs = [
+                exact_error(solve_scalar(f, 1.0, build_graded(M, 1.0, r), alpha),
+                            lambda t: mittag_leffler(alpha, -t**alpha)).err_global
+                for M in Ms
+            ]
+            rates = [rate(e0, e1) for e0, e1 in zip(errs, errs[1:])]
+            predicted = min(alpha * r, 2.0 - alpha)
+            assert all(predicted - 0.1 <= q <= predicted + 0.05 for q in rates), (r, rates)
+            assert rates[0] < rates[1], (r, rates)
 
 
 class TestCSV:

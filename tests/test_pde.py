@@ -342,43 +342,85 @@ LU_OPERATORS = {
 }
 
 
+def _t_dependent_config(M):
+    return parse_config(json.dumps({
+        "mesh": {"M": M, "T": 1.0, "r": 2.0},
+        "grid": {"d": 1, "N": 32},
+        "problem": {
+            "alpha": 0.4,
+            "f": {"kind": "fisher"},
+            "u0": "0.5 + 0.3*cos(2*x)",
+            "coefficients": {"a": ["1 + 0.5*t*sin(x)"]},
+            "bc": {"all": "periodic"},
+        },
+    }))
+
+
+class _FreshMatrix:
+    """Stands in for ``_ShiftedMatrix``: builds A + diag(shift) anew at every call."""
+
+    def __init__(self, A):
+        self.A = A
+
+    def with_shift(self, shift):
+        return (self.A + sp.diags(np.broadcast_to(shift, self.A.shape[0]))).tocsc()
+
+
 class TestLUPattern:
     @pytest.mark.parametrize("case", LU_OPERATORS)
     def test_bitwise_equal_to_fresh_lu(self, case):
         # successive shifts on one pattern: vector (Newton), scalar (Picard),
         # vector again; no diagonal from an earlier call may survive
         A = LU_OPERATORS[case]().matrix
-        lu = fraxolve.pde._LUPattern.of(A)
+        shifted = fraxolve.pde._ShiftedMatrix.of(A)
         rng = np.random.default_rng(5)
         n = A.shape[0]
         for shift in (4.0 + rng.uniform(-1, 1, n), 3.7, 60.0 + rng.uniform(-5, 5, n), 0.25):
             rhs = rng.standard_normal(n)
-            x, n_lin = fraxolve.pde._linear_solve(A, shift, rhs, None, lu, 1)
+            x, n_lin = fraxolve.pde._linear_solve(shifted, shift, rhs, None, 1)
             assert n_lin == 1
             assert np.array_equal(x, _fresh_lu(A, shift, rhs))
 
     def test_reassembled_operator_matches_fresh_lu_every_step(self, monkeypatch):
         # a t-dependent coefficient reassembles L_h every level; each level
         # must factor its own operator, not the pattern of an earlier one
-        rc = parse_config(json.dumps({
-            "mesh": {"M": 30, "T": 1.0, "r": 2.0},
-            "grid": {"d": 1, "N": 32},
-            "problem": {
-                "alpha": 0.4,
-                "f": {"kind": "fisher"},
-                "u0": "0.5 + 0.3*cos(2*x)",
-                "coefficients": {"a": ["1 + 0.5*t*sin(x)"]},
-                "bc": {"all": "periodic"},
-            },
-        }))
+        rc = _t_dependent_config(30)
         assert rc.problem.coeffs.time_dependent
         args = (rc.problem, rc.mesh, rc.grid, rc.solver)
         sol = solve_pde(*args)
+        newton_level = fraxolve.pde._newton_level
+
+        def fresh_level(op, *rest):
+            # the level's own operator, A + diag(shift) built from scratch at every solve
+            return newton_level(op, *rest[:-1], _FreshMatrix(op.matrix))
+
         with monkeypatch.context() as mp:
-            mp.setattr(fraxolve.pde, "_linear_solve",
-                       lambda A, shift, rhs, fast, lu, m: (_fresh_lu(A, shift, rhs), 1))
+            mp.setattr(fraxolve.pde, "_newton_level", fresh_level)
             fresh = solve_pde(*args)
         assert np.array_equal(sol.fields, fresh.fields)
         assert sol.newton_iters == fresh.newton_iters
         assert sol.lin_iters == fresh.lin_iters
         assert sol.picard_steps == fresh.picard_steps
+
+    @pytest.mark.parametrize("t_dependent", [True, False])
+    def test_operator_assembled_once_per_level(self, monkeypatch, t_dependent):
+        # a t-dependent L_h is assembled once per level (the one at t_1 before
+        # the loop serves m = 1); a constant one once per solve
+        rc = _t_dependent_config(10)
+        if not t_dependent:
+            rc = dataclasses.replace(
+                rc, problem=dataclasses.replace(rc.problem, coeffs=CoefficientField(a=(1.0,)))
+            )
+        assert rc.problem.coeffs.time_dependent is t_dependent
+        times = []
+
+        def counting_assemble(grid, coeffs, t, bc):
+            times.append(t)
+            return assemble(grid, coeffs, t, bc)
+
+        monkeypatch.setattr(fraxolve.pde, "assemble", counting_assemble)
+        solve_pde(rc.problem, rc.mesh, rc.grid, rc.solver)
+        if t_dependent:
+            assert times == [float(t) for t in rc.mesh.nodes[1:]]
+        else:
+            assert times == [float(rc.mesh.nodes[1])]
