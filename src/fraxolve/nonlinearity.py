@@ -50,8 +50,15 @@ def builtin(name: str, **params) -> Nonlinearity:
             raise ValueError(f"unknown parameters for allen_cahn: {sorted(params)}")
         if not 0.0 < a < 1.0:
             raise ValueError(f"allen_cahn requires alpha in (0, 1), got {a}")
+
+        def cubic(x, t, s):
+            # s * s * s, not s ** 3: numpy has no fast path for an integer cube
+            # (~25x slower at 4k values); [()] makes a 0-d input a numpy scalar
+            s = np.asarray(s)[()]
+            return (s * s * s - s) / a
+
         return Nonlinearity(
-            eval=lambda x, t, s: (np.asarray(s) ** 3 - np.asarray(s)) / a,
+            eval=cubic,
             deriv_s=lambda x, t, s: (3.0 * np.asarray(s) ** 2 - 1.0) / a,
             lam=1.0 / a,  # min_s (3 s^2 - 1)/a = -1/a
             range=(-1.0, 1.0),

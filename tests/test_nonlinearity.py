@@ -14,6 +14,22 @@ class TestBuiltins:
         assert f.lam == pytest.approx(2.0)  # 1/alpha
         assert f.range == (-1.0, 1.0)
 
+    @pytest.mark.parametrize("kind", ["array", "0-d", "float"])
+    def test_allen_cahn_cube_matches_power(self, kind):
+        # eval multiplies out the cube; it must agree with (s**3 - s)/a to a
+        # few ulps of its largest term, and keep a scalar input scalar
+        a = 0.3
+        f = builtin("allen_cahn", alpha=a)
+        s = np.random.default_rng(1).uniform(-1.5, 1.5, 1000)
+        s = {"array": s, "0-d": np.asarray(s[0]), "float": float(s[0])}[kind]
+        got = f.eval(None, 0.0, s)
+        want = (np.asarray(s) ** 3 - np.asarray(s)) / a
+        assert np.shape(got) == np.shape(s)
+        if kind != "array":
+            assert isinstance(got, float)
+        ulp = np.spacing((np.abs(s) ** 3 + np.abs(s)) / a)
+        assert np.all(np.abs(got - want) <= 4 * ulp)
+
     def test_allen_cahn_derivative(self):
         f = builtin("allen_cahn", alpha=0.25)
         s = np.linspace(-1, 1, 11)
