@@ -7,7 +7,9 @@ range preservation for invariant-range reactions.  The operator picks the
 linear solver: when a 2D L_h has a fast inverse (``spatial.fast_inverse``),
 a Picard matrix L_h + kappa_mm I is inverted directly and an SPD Newton
 matrix is solved by CG preconditioned with that inverse; every other
-system is solved by one sparse LU factorization.  Both CG and LU take
+system is solved by one sparse LU factorization.  CG is inexact Newton
+(Dembo-Eisenstat-Steihaug): it stops once its residual is below a tenth of
+the Newton tolerance, not at full accuracy.  Both CG and LU take
 L_h + diag(shift) from one CSC matrix built once per assembled operator; a
 solve only rewrites its diagonal.  A ``t``-dependent L_h is assembled once
 per level, at t_m.
@@ -74,12 +76,15 @@ class SolutionHistory:
         return self.fields[m].reshape(self.grid.shape)
 
 
-_CG_RTOL = 1e-13
+_CG_RTOL = 1e-13  # the floor of the CG forcing term
 _CG_MAXITER = 200
 
 
-def _pcg(J: sp.spmatrix, rhs: np.ndarray, fast: FastInverse, s: float, m: int):
-    """CG on the SPD J, preconditioned by (L_h + s I)^{-1}; returns x and its iterations."""
+def _pcg(J: sp.spmatrix, rhs: np.ndarray, fast: FastInverse, s: float, m: int, rtol: float):
+    """CG on the SPD J, preconditioned by (L_h + s I)^{-1}, to ||rhs - J x||_2 <= rtol ||rhs||_2.
+
+    Returns x and its iterations.
+    """
     iters = 0
 
     def count(_):
@@ -87,12 +92,12 @@ def _pcg(J: sp.spmatrix, rhs: np.ndarray, fast: FastInverse, s: float, m: int):
         iters += 1
 
     pre = spla.LinearOperator(J.shape, matvec=lambda r: fast(r, s), dtype=float)
-    x, info = spla.cg(J, rhs, rtol=_CG_RTOL, atol=0.0, maxiter=_CG_MAXITER, M=pre, callback=count)
+    x, info = spla.cg(J, rhs, rtol=rtol, atol=0.0, maxiter=_CG_MAXITER, M=pre, callback=count)
     if info != 0:
         lin_res = float(np.linalg.norm(rhs - J @ x) / np.linalg.norm(rhs))
         raise NonconvergenceError(
             m, lin_res,
-            f"CG did not reach relative residual {_CG_RTOL:g} in {_CG_MAXITER} "
+            f"CG did not reach relative residual {rtol:.3g} in {_CG_MAXITER} "
             f"iterations at level {m} (reached {lin_res:.3e})",
         )
     return x, iters
@@ -127,22 +132,30 @@ class _ShiftedMatrix:
 
 
 def _linear_solve(
-    shifted: _ShiftedMatrix, shift, rhs: np.ndarray, fast: FastInverse | None, m: int
+    shifted: _ShiftedMatrix, shift, rhs: np.ndarray, fast: FastInverse | None, m: int, tol: float
 ) -> tuple[np.ndarray, int]:
-    """Solve (A + diag(shift)) x = rhs; returns x and the linear iterations.
+    """Solve (A + diag(shift)) x = rhs, rhs != 0; returns x and the linear iterations.
 
     With a fast inverse of A and a provably SPD matrix, min(shift) >
     -lambda_min(A): a constant shift is inverted directly, any other runs
     CG.  Everything else is one sparse LU solve.  CG and LU both take the
     matrix from ``shifted``, built once per assembled operator.  Direct
     solves count 1.
+
+    CG uses the inexact-Newton forcing term rtol = max(1e-13, min(1e-2,
+    0.1 tol / ||rhs||_2)), with ``tol`` the Newton tolerance on the
+    residual's inf-norm: the linear residual then has inf-norm <= 0.1 tol
+    (or relative 2-norm <= 1e-13), a tenth of what the Newton residual
+    may keep.  The 2-norm, not the inf-norm, keeps that bound for any
+    rhs.  The direct solves are exact and ignore ``tol``.
     """
     if fast is not None:
         lo, hi = float(np.min(shift)), float(np.max(shift))
         if lo > -fast.lam_min:
             if lo == hi:
                 return fast(rhs, lo), 1
-            return _pcg(shifted.with_shift(shift), rhs, fast, 0.5 * (lo + hi), m)
+            rtol = max(_CG_RTOL, min(1e-2, 0.1 * tol / float(np.linalg.norm(rhs))))
+            return _pcg(shifted.with_shift(shift), rhs, fast, 0.5 * (lo + hi), m, rtol)
     return spla.splu(shifted.with_shift(shift)).solve(rhs), 1
 
 
@@ -179,7 +192,7 @@ def _newton_level(
             dvals = kmm + np.asarray(f.deriv_s(pts, t, u))
         else:
             dvals = kmm  # Picard: frozen nonlinearity
-        step, n_lin = _linear_solve(shifted, dvals, -res, fast, m)
+        step, n_lin = _linear_solve(shifted, dvals, -res, fast, m, tol)
         lin_total += n_lin
         # residual-norm line search, shrink by cfg.damping down to 2^-20
         damp = 1.0
@@ -193,7 +206,7 @@ def _newton_level(
             damp *= cfg.damping
         else:
             # line search stalled; Picard step (monotone at small tau)
-            step, n_lin = _linear_solve(shifted, kmm, -residual(u), fast, m)
+            step, n_lin = _linear_solve(shifted, kmm, -residual(u), fast, m, tol)
             lin_total += n_lin
             picard += 1
             u = u + step

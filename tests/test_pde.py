@@ -291,6 +291,56 @@ class TestFastLinearSolve:
         assert all(n_lin >= n for n_lin, n in zip(fast.lin_iters, fast.newton_iters))
         assert sum(fast.lin_iters) > sum(fast.newton_iters)
 
+    @pytest.mark.parametrize("case", FAST_CASES)
+    def test_forcing_term_keeps_newton(self, monkeypatch, case):
+        # CG stops at a tenth of the Newton tolerance; the reference runs
+        # every CG to relative residual 1e-13
+        make, N, r, X = FAST_CASES[case]
+        problem, mesh, grid = make(), build_graded(12, 1.0, r), Grid(2, N, X)
+        sol = solve_pde(problem, mesh, grid)
+        cg = spla.cg
+        with monkeypatch.context() as mp:
+            mp.setattr(fraxolve.pde.spla, "cg", lambda *a, **kw: cg(*a, **{**kw, "rtol": 1e-13}))
+            full = solve_pde(problem, mesh, grid)
+        assert sol.newton_iters == full.newton_iters
+        np.testing.assert_allclose(sol.fields, full.fields, rtol=0, atol=1e-9)
+        assert sum(sol.lin_iters) < sum(full.lin_iters)
+        # each level's residual against its own Newton tolerance
+        unknown = assemble(grid, problem.coeffs, 1.0, problem.bc).unknown_flat
+        hist = sol.fields[:, unknown]
+        for m in range(1, mesh.M + 1):
+            F = l1_weights(mesh, problem.alpha, m).kappa[:m] @ hist[:m]
+            tol = SolverConfig().nonlin_tol * max(1.0, float(np.max(np.abs(F))))
+            assert sol.residuals[m - 1] <= tol
+
+    def test_cg_step_meets_the_forcing_term(self, monkeypatch):
+        # rtol = max(1e-13, min(1e-2, 0.1 tol / ||rhs||_2)), so the linear
+        # residual's inf-norm is at most a tenth of the Newton tolerance
+        grid = Grid(2, 16, math.pi)
+        problem = allen_cahn_problem(0.5)
+        A = assemble(grid, problem.coeffs, 0.0, problem.bc).matrix
+        fast = fast_inverse(grid, problem.coeffs, problem.bc)
+        shifted = fraxolve.pde._ShiftedMatrix.of(A)
+        rng = np.random.default_rng(3)
+        shift = 5.0 + rng.uniform(-1.0, 1.0, A.shape[0])
+        rhs = rng.standard_normal(A.shape[0])
+        rhs_norm = float(np.linalg.norm(rhs))
+        rtols = []
+        cg = spla.cg
+
+        def recording_cg(*args, **kwargs):
+            rtols.append(kwargs["rtol"])
+            return cg(*args, **kwargs)
+
+        monkeypatch.setattr(fraxolve.pde.spla, "cg", recording_cg)
+        for tol, rtol in ((1e-6, 1e-7 / rhs_norm), (rhs_norm, 1e-2), (1e-20, 1e-13)):
+            x, n_lin = fraxolve.pde._linear_solve(shifted, shift, rhs, fast, 1, tol)
+            assert rtols[-1] == pytest.approx(rtol, rel=1e-15)
+            assert n_lin > 1
+            lin_res = rhs - (A + sp.diags(shift)) @ x
+            assert np.linalg.norm(lin_res) <= rtol * rhs_norm
+            assert np.max(np.abs(lin_res)) <= max(0.1 * tol, 1e-13 * rhs_norm)
+
     def test_cg_failure_is_loud(self, monkeypatch):
         def stalled_cg(A, b, **kwargs):
             return np.zeros_like(b), 200
@@ -377,7 +427,7 @@ class TestLUPattern:
         n = A.shape[0]
         for shift in (4.0 + rng.uniform(-1, 1, n), 3.7, 60.0 + rng.uniform(-5, 5, n), 0.25):
             rhs = rng.standard_normal(n)
-            x, n_lin = fraxolve.pde._linear_solve(shifted, shift, rhs, None, 1)
+            x, n_lin = fraxolve.pde._linear_solve(shifted, shift, rhs, None, 1, 1e-10)
             assert n_lin == 1
             assert np.array_equal(x, _fresh_lu(A, shift, rhs))
 
