@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .mesh import TemporalMesh, build_graded
+from .mesh import FracParams, TemporalMesh, build_graded, check_step_restriction
 from .nonlinearity import builtin
 from .pde import Problem, SolutionHistory, solve_pde
 from .scalar import ScalarTrajectory
@@ -35,6 +35,7 @@ __all__ = [
     "table_run",
     "allen_cahn_problem",
     "rows_to_csv",
+    "restriction_violations",
     "BudgetError",
 ]
 
@@ -196,6 +197,22 @@ def _last_use(spec: TableSpec) -> dict[tuple, int]:
 def _estimate_cost(spec: TableSpec) -> float:
     """Sum of M^2 * (N - 1)^2 over the distinct runs."""
     return float(sum(M**2 * max(1, (N - 1) ** 2) for _, _, M, N in _last_use(spec)))
+
+
+def restriction_violations(spec: TableSpec) -> list[dict]:
+    """The (alpha, r, M) runs of ``spec`` outside the step restriction, with its lhs and rhs.
+
+    Such rows are computed all the same, but lie outside the hypotheses of
+    the paper's error bounds.
+    """
+    out = []
+    for alpha, r, M in dict.fromkeys(key[:3] for key in _last_use(spec)):  # distinct, in order
+        rep = check_step_restriction(
+            build_graded(M, 1.0, r), FracParams(alpha, spec.problem_factory(alpha).f.lam)
+        )
+        if not rep.passed:
+            out.append({"alpha": alpha, "r": r, "M": M, "lhs": rep.lhs, "rhs": rep.rhs})
+    return out
 
 
 def table_run(spec: TableSpec) -> list[dict]:

@@ -1,9 +1,12 @@
+import csv
 import json
 import math
 
 import pytest
 
 from fraxolve.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, main
+from fraxolve.config import parse_config
+from fraxolve.pde import solve_pde
 from fraxolve.special import mittag_leffler
 
 
@@ -17,6 +20,32 @@ PDE_CONFIG = {
         "bc": {"all": "dirichlet0"},
     },
 }
+
+PDE_CONFIG_2D = {
+    "mesh": {"M": 8, "T": 1.0, "r": 2.0},
+    "grid": {"d": 2, "N": 5, "X": "pi"},
+    "problem": {
+        "alpha": 0.5,
+        "f": {"kind": "allen_cahn", "alpha": 0.5},
+        "u0": "0.5 * sin(x) * sin(2*y)",
+        "bc": {"all": "dirichlet0"},
+    },
+}
+
+
+def _row_loop_csv(path, text):
+    """The per-node csv.writer loop the pde command used to write solution.csv with."""
+    cfg = parse_config(text)
+    sol = solve_pde(cfg.problem, cfg.mesh, cfg.grid, cfg.solver)
+    pts = cfg.grid.points()
+    with path.open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(("m", "t", "node", "x", "y", "U"))
+        for m, t in enumerate(cfg.mesh.nodes):
+            for i in range(pts.shape[0]):
+                y = pts[i, 1] if cfg.grid.d > 1 else 0.0
+                w.writerow((m, f"{t:.6e}", i, f"{pts[i, 0]:.6e}", f"{y:.6e}",
+                            f"{sol.fields[m, i]:.6e}"))
 
 
 class TestML:
@@ -65,6 +94,18 @@ class TestPDE:
         manifest = json.loads((tmp_path / "pde.manifest.json").read_text())
         assert manifest["range_ok"] is True
         assert manifest["newton_iters_max"] >= 1
+
+    # M = 8 keeps both runs inside the step restriction
+    @pytest.mark.parametrize("doc", [{**PDE_CONFIG, "mesh": {"M": 8, "T": 1.0, "r": 2.0}}, PDE_CONFIG_2D],
+                             ids=["1d", "2d"])
+    def test_csv_bytes_match_the_row_loop(self, tmp_path, doc):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["pde", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+        _row_loop_csv(tmp_path / "oracle.csv", cfg.read_text())
+        got = (tmp_path / "solution.csv").read_bytes()
+        assert got == (tmp_path / "oracle.csv").read_bytes()
+        assert got.count(b"\r\n") == 1 + (doc["mesh"]["M"] + 1) * (doc["grid"]["N"] + 1) ** doc["grid"]["d"]
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
@@ -121,6 +162,29 @@ class TestTable:
         lines = text.splitlines()
         assert lines[0] == "alpha,r,M,N,study,err,rate"
         assert len(lines) == 3
+
+    def test_manifest_lists_runs_outside_the_step_restriction(self, tmp_path, monkeypatch):
+        # alpha 0.3 (lambda = 1/0.3) violates lambda tau^alpha <= 1/Gamma(2 - alpha)
+        # at every M here, alpha 0.7 at none; the rows are computed all the same
+        import fraxolve.cli
+        from fraxolve.harness import TableSpec
+        from fraxolve.scalar import StepRestrictionWarning
+        from fraxolve.special import gamma
+
+        spec = TableSpec(alphas=(0.3, 0.7), rs=(1.0,), Ms=(4, 8), n_rule="N=2M", study="time")
+        monkeypatch.setattr(fraxolve.cli, "_table_spec", lambda preset, scale: spec)
+        with pytest.warns(StepRestrictionWarning):
+            assert main(["table", "--preset", "table1", "--out", str(tmp_path)]) == EXIT_OK
+        manifest = json.loads((tmp_path / "table1.manifest.json").read_text())
+        violations = manifest["step_restriction_violations"]
+        assert [(v["alpha"], v["r"], v["M"]) for v in violations] == [(0.3, 1.0, M) for M in (4, 8, 16)]
+        for v in violations:  # uniform steps 1/M
+            assert v["lhs"] == pytest.approx((1.0 / v["M"]) ** 0.3 / 0.3, rel=1e-12)
+            assert v["rhs"] == pytest.approx(1.0 / gamma(1.7), rel=1e-12)
+            assert v["lhs"] > v["rhs"]
+        lines = (tmp_path / "table1.csv").read_text().splitlines()
+        assert lines[0] == "alpha,r,M,N,study,err,rate"
+        assert len(lines) == 1 + 4
 
     def test_budget_error_exits_solver(self, tmp_path, monkeypatch, capsys):
         import fraxolve.cli

@@ -204,7 +204,24 @@ class TestTheoryRates:
             assert abs(last["rate"] - predicted) <= 0.1, (r, last["rate"])
 
 
-    @pytest.mark.parametrize("alpha", [0.3, 0.5])
+    @pytest.mark.parametrize("alpha", [0.3, 0.7])
+    def test_final_time_rates_of_the_scalar_problem(self, alpha):
+        # final-time rate min(r, 2 - alpha) for D_t^alpha u + u = 0, whose
+        # solution is E_alpha(-t^alpha), on a uniform and on the graded mesh
+        # r = (2 - alpha)/alpha that table2 uses
+        f = builtin("linear", cstar=1.0)
+        Ms = (128, 256, 512)
+        for r in (1.0, (2.0 - alpha) / alpha):
+            errs = [
+                exact_error(solve_scalar(f, 1.0, build_graded(M, 1.0, r), alpha),
+                            lambda t: mittag_leffler(alpha, -t**alpha)).err_final
+                for M in Ms
+            ]
+            rates = [rate(e0, e1) for e0, e1 in zip(errs, errs[1:])]
+            predicted = min(r, 2.0 - alpha)
+            assert all(abs(q - predicted) <= 0.05 for q in rates), (r, rates)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
     def test_global_rates_follow_the_envelope(self, alpha):
         # sup-over-levels rate min(alpha r, 2 - alpha), what a study="global"
         # table measures; D_t^alpha u + u = 0 has solution E_alpha(-t^alpha),
