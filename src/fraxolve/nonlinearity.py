@@ -57,9 +57,14 @@ def builtin(name: str, **params) -> Nonlinearity:
             s = np.asarray(s)[()]
             return (s * s * s - s) / a
 
+        def cubic_deriv(x, t, s):
+            # s * s equals s ** 2 bitwise; [()] spares the 0-d array arithmetic
+            s = np.asarray(s)[()]
+            return (3.0 * (s * s) - 1.0) / a
+
         return Nonlinearity(
             eval=cubic,
-            deriv_s=lambda x, t, s: (3.0 * np.asarray(s) ** 2 - 1.0) / a,
+            deriv_s=cubic_deriv,
             lam=1.0 / a,  # min_s (3 s^2 - 1)/a = -1/a
             range=(-1.0, 1.0),
             lam_bar=None,  # the cubic is not globally two-sided Lipschitz

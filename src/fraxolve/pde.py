@@ -4,15 +4,23 @@
 
 with damped Newton, an M-matrix Jacobian under the step restriction, and
 range preservation for invariant-range reactions.  The operator picks the
-linear solver: when a 2D L_h has a fast inverse (``spatial.fast_inverse``),
-a Picard matrix L_h + kappa_mm I is inverted directly and an SPD Newton
-matrix is solved by CG preconditioned with that inverse; every other
-system is solved by one sparse LU factorization.  CG is inexact Newton
-(Dembo-Eisenstat-Steihaug): it stops once its residual is below a tenth of
-the Newton tolerance, not at full accuracy.  Both CG and LU take
-L_h + diag(shift) from one CSC matrix built once per assembled operator; a
-solve only rewrites its diagonal.  A ``t``-dependent L_h is assembled once
-per level, at t_m.
+linear solver:
+
+* 1D: one banded LU (LAPACK ``dgbsv``) per solve; renumbering the unknowns
+  0, n-1, 1, n-2, ... makes every 1D L_h, periodic or not, a band of
+  half-width 2.
+* 2D with a fast inverse (``spatial.fast_inverse``): a Picard matrix
+  L_h + kappa_mm I is inverted directly and an SPD Newton matrix is solved
+  by CG preconditioned with that inverse.
+* Otherwise (2D variable coefficients, convection, Robin faces, or a
+  matrix not provably SPD): one SuperLU factorization per solve.
+
+CG is inexact Newton (Dembo-Eisenstat-Steihaug): it stops once its
+residual is below a tenth of the Newton tolerance, not at full accuracy.
+The band, and the CSC matrix that CG and SuperLU share, are built once per
+assembled operator; a solve only rewrites the diagonal (of a copy of the
+band, which LAPACK factors in place).  A ``t``-dependent L_h is assembled
+once per level, at t_m.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgbsv
 
 # l1_weights and check_step_restriction are unused here: perfbench/tracing.py wraps them
 from .caputo import l1_weights, march
@@ -105,7 +114,7 @@ def _pcg(J: sp.spmatrix, rhs: np.ndarray, fast: FastInverse, s: float, m: int, r
 
 @dataclass
 class _ShiftedMatrix:
-    """A + diag(shift) as one CSC matrix, set up once per assembled A.
+    """A + diag(shift) of a 2D operator as one CSC matrix, set up once per assembled A.
 
     ``J`` has the off-diagonal entries of A and a full diagonal; ``with_shift``
     only rewrites the diagonal entries (positions ``diag_pos`` in J.data)
@@ -130,17 +139,76 @@ class _ShiftedMatrix:
         self.J.data[self.diag_pos] = self.a_diag + shift
         return self.J
 
+    def solve(self, shift, rhs: np.ndarray, m: int) -> np.ndarray:
+        """(A + diag(shift))^{-1} rhs by one SuperLU factorization."""
+        try:
+            lu = spla.splu(self.with_shift(shift))
+        except RuntimeError as err:  # "Factor is exactly singular"
+            msg = f"singular linear system at level {m}: {err}"
+            raise NonconvergenceError(m, np.inf, msg) from err
+        return lu.solve(rhs)
+
+
+@dataclass
+class _ShiftedBand:
+    """A + diag(shift) of a 1D operator as one LAPACK band, set up once per assembled A.
+
+    The unknowns are renumbered 0, n-1, 1, n-2, 2, ... (``perm``): every
+    coupling of neighbours, the periodic one of 0 and n-1 included, is then
+    at most two places off the diagonal, so each solve is one banded LU with
+    partial pivoting (``dgbsv``).  ``band`` holds the permuted A in the
+    (2 kl + ku + 1, n) layout dgbsv factors in place, diagonal row left
+    zero; ``a_diag`` is the permuted diagonal of A.
+    """
+
+    perm: np.ndarray
+    band: np.ndarray
+    a_diag: np.ndarray
+    kl: int
+    ku: int
+
+    @classmethod
+    def of(cls, A: sp.spmatrix) -> "_ShiftedBand":
+        n = A.shape[0]
+        perm = np.empty(n, dtype=np.intp)
+        perm[0::2] = np.arange((n + 1) // 2)
+        perm[1::2] = np.arange(n - 1, (n - 1) // 2, -1)
+        P = A.tocsr()[perm][:, perm].tocoo()
+        off = P.row != P.col
+        row, col = P.row[off], P.col[off]
+        kl = int(np.max(row - col, initial=0))
+        ku = int(np.max(col - row, initial=0))
+        band = np.zeros((2 * kl + ku + 1, n), order="F")
+        band[kl + ku + row - col, col] = P.data[off]
+        return cls(perm, band, P.diagonal(), kl, ku)
+
+    def solve(self, shift, rhs: np.ndarray, m: int) -> np.ndarray:
+        """(A + diag(shift))^{-1} rhs by one banded LU."""
+        p = self.perm
+        ab = self.band.copy(order="F")
+        ab[self.kl + self.ku] = self.a_diag + (shift[p] if np.ndim(shift) else shift)
+        _, _, x, info = dgbsv(self.kl, self.ku, ab, rhs[p], overwrite_ab=1, overwrite_b=1)
+        if info != 0:
+            msg = f"singular linear system at level {m} (dgbsv info {info})"
+            raise NonconvergenceError(m, np.inf, msg)
+        out = np.empty_like(x)
+        out[p] = x
+        return out
+
 
 def _linear_solve(
-    shifted: _ShiftedMatrix, shift, rhs: np.ndarray, fast: FastInverse | None, m: int, tol: float
+    shifted: _ShiftedMatrix | _ShiftedBand, shift, rhs: np.ndarray, fast: FastInverse | None,
+    m: int, tol: float,
 ) -> tuple[np.ndarray, int]:
     """Solve (A + diag(shift)) x = rhs, rhs != 0; returns x and the linear iterations.
 
-    With a fast inverse of A and a provably SPD matrix, min(shift) >
-    -lambda_min(A): a constant shift is inverted directly, any other runs
-    CG.  Everything else is one sparse LU solve.  CG and LU both take the
-    matrix from ``shifted``, built once per assembled operator.  Direct
-    solves count 1.
+    The operator picks the solver.  A 1D operator (``_ShiftedBand``) is
+    solved by one banded LU.  In 2D, with a fast inverse of A and a
+    provably SPD matrix, min(shift) > -lambda_min(A): a constant shift is
+    inverted directly, any other runs CG.  Everything else is one SuperLU
+    solve.  CG and SuperLU both take the matrix from ``shifted``, built
+    once per assembled operator.  Direct solves count 1; an exactly
+    singular matrix raises ``NonconvergenceError(m)``.
 
     CG uses the inexact-Newton forcing term rtol = max(1e-13, min(1e-2,
     0.1 tol / ||rhs||_2)), with ``tol`` the Newton tolerance on the
@@ -156,7 +224,7 @@ def _linear_solve(
                 return fast(rhs, lo), 1
             rtol = max(_CG_RTOL, min(1e-2, 0.1 * tol / float(np.linalg.norm(rhs))))
             return _pcg(shifted.with_shift(shift), rhs, fast, 0.5 * (lo + hi), m, rtol)
-    return spla.splu(shifted.with_shift(shift)).solve(rhs), 1
+    return shifted.solve(shift, rhs, m), 1
 
 
 def _newton_level(
@@ -171,7 +239,7 @@ def _newton_level(
     cfg: SolverConfig,
     m: int,
     fast: FastInverse | None,
-    shifted: _ShiftedMatrix,
+    shifted: _ShiftedMatrix | _ShiftedBand,
 ):
     A = op.matrix
 
@@ -236,9 +304,10 @@ def solve_pde(
     _gate_step_restriction(mesh, alpha, problem.f.lam, cfg.strict_restriction or periodic)
 
     op = assemble(grid, problem.coeffs, float(mesh.nodes[1]), problem.bc)
-    shifted = _ShiftedMatrix.of(op.matrix)
-    # in 1D the matrices are (cyclic) tridiagonal: their LU has no fill and
-    # costs less than the per-call overhead of the transforms and of CG
+    # a 1D L_h is (cyclic) tridiagonal: one banded LU per solve costs less than
+    # the set-up of SuperLU and the per-call overhead of the transforms and of CG
+    shifted_of = _ShiftedBand.of if grid.d == 1 else _ShiftedMatrix.of
+    shifted = shifted_of(op.matrix)
     fast = fast_inverse(grid, problem.coeffs, problem.bc) if grid.d == 2 else None
     pts_unknown = grid.points()[op.unknown_flat]
 
@@ -250,7 +319,7 @@ def solve_pde(
         t_m = float(mesh.nodes[m])
         if problem.coeffs.time_dependent and m > 1:  # the operator at t_1 is built above
             op = assemble(grid, problem.coeffs, t_m, problem.bc)
-            shifted = _ShiftedMatrix.of(op.matrix)
+            shifted = shifted_of(op.matrix)
         # F sums whole rows; keep the unknowns (a column-indexed slice would copy m rows)
         Fm = F[op.unknown_flat]
         g_dir = op.data_vector(t_m)

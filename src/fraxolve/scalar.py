@@ -44,9 +44,9 @@ class NonconvergenceError(RuntimeError):
 class SolverConfig:
     """Per-level nonlinear solver knobs (shared by scalar and PDE paths).
 
-    The PDE path picks its linear solver from the operator (fast-diagonalization
-    preconditioned CG or sparse LU, see :mod:`fraxolve.pde`), so there are no
-    linear-solver knobs.
+    The PDE path picks its linear solver from the operator (banded LU in 1D;
+    fast-diagonalization preconditioned CG or sparse LU in 2D, see
+    :mod:`fraxolve.pde`), so there are no linear-solver knobs.
     """
 
     nonlin_tol: float = 1e-10
@@ -102,8 +102,9 @@ def _solve_step(f: Nonlinearity, t: float, kmm: float, F: float, u_prev: float,
 
     tol = cfg.nonlin_tol * max(1.0, abs(F))
     # bracket around an affine estimate of the root, grown geometrically
-    center = (F - float(f.eval(None, t, u_prev))) / kmm
-    width = max(abs(f.eval(None, t, u_prev)) / kmm, abs(u_prev - center), 1.0)
+    f_prev = float(f.eval(None, t, u_prev))
+    center = (F - f_prev) / kmm
+    width = max(abs(f_prev) / kmm, abs(u_prev - center), 1.0)
     lo, hi = center - width, center + width
     for _ in range(200):
         if g(lo) <= 0.0 <= g(hi):

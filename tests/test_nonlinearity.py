@@ -35,6 +35,21 @@ class TestBuiltins:
         s = np.linspace(-1, 1, 11)
         np.testing.assert_allclose(f.deriv_s(None, 0.0, s), (3 * s**2 - 1) / 0.25)
 
+    @pytest.mark.parametrize("kind", ["array", "0-d", "float"])
+    def test_allen_cahn_derivative_bitwise_power(self, kind):
+        # deriv_s squares by s * s; numpy's s ** 2 is the same product, so
+        # the two agree bitwise, and a scalar input stays scalar
+        a = 0.3
+        f = builtin("allen_cahn", alpha=a)
+        s = np.random.default_rng(2).uniform(-1.5, 1.5, 1000)
+        s = {"array": s, "0-d": np.asarray(s[0]), "float": float(s[0])}[kind]
+        got = f.deriv_s(None, 0.0, s)
+        want = (3.0 * np.asarray(s) ** 2 - 1.0) / a
+        assert np.shape(got) == np.shape(s)
+        if kind != "array":
+            assert isinstance(got, float)
+        assert np.array_equal(got, want)
+
     def test_allen_cahn_sharp_lipschitz(self):
         # min over [-1,1] of f'(s) = (3s^2-1)/a is -1/a, attained at s = 0
         f = builtin("allen_cahn", alpha=0.5)

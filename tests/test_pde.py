@@ -369,14 +369,29 @@ class TestFastLinearSolve:
 
 
 def _fresh_lu(A, shift, rhs):
-    """The LU solve of (A + diag(shift)) x = rhs with the matrix built from scratch."""
+    """The SuperLU solve of (A + diag(shift)) x = rhs with the matrix built from scratch."""
     return spla.splu((A + sp.diags(np.broadcast_to(shift, rhs.shape))).tocsc()).solve(rhs)
+
+
+def _fresh_band(A, shift, rhs):
+    """The banded LU solve of (A + diag(shift)) x = rhs with the band built from scratch."""
+    return fraxolve.pde._ShiftedBand.of(A).solve(shift, rhs, 1)
+
+
+def _rel_err(x, want):
+    return float(np.max(np.abs(x - want)) / np.max(np.abs(want)))
 
 
 def _robin_bc():
     return BoundarySpec(
         {"x-": BoundaryCondition("dirichlet", 0.0), "x+": BoundaryCondition("robin", 1.5)}, 1
     )
+
+
+def _short_periodic(N):
+    # n = N unknowns: the neighbours of node 0 are 1 and N - 1, the same node for N = 2
+    return lambda: assemble(Grid(1, N, 2.0 * math.pi), CoefficientField(a=(1.0,), b=(0.3,), c=0.1),
+                            0.0, BoundarySpec.all_periodic(1))
 
 
 LU_OPERATORS = {
@@ -386,77 +401,105 @@ LU_OPERATORS = {
                                     CoefficientField(a=(lambda x, t: 1.0 + 0.5 * np.sin(x[:, 0]),)),
                                     0.0, BoundarySpec.all_periodic(1)),
     "1d-robin": lambda: assemble(Grid(1, 32, 1.0), CoefficientField(a=(1.0,), c=0.3), 0.0, _robin_bc()),
+    **{f"1d-periodic-convection-N{N}": _short_periodic(N) for N in (2, 3, 4, 5)},
     "2d-variable-a": lambda: assemble(Grid(2, 12, math.pi),
                                       CoefficientField(a=(lambda x, t: 1.0 + 0.3 * np.sin(x[:, 0]), 2.0)),
                                       0.0, BoundarySpec.dirichlet0(2)),
 }
 
 
-def _t_dependent_config(M):
+def _shifts(rng, n):
+    # successive shifts on one set-up: vector (Newton), scalar (Picard),
+    # vector again; no diagonal from an earlier call may survive
+    return (4.0 + rng.uniform(-1, 1, n), 3.7, 60.0 + rng.uniform(-5, 5, n), 0.25)
+
+
+def _fisher_1d_config(M, N=32, a="1 + 0.5*t*sin(x)"):
+    # the shape of perfbench's march1d input, whose a is "1 + 0.5*sin(x)" and N = 256
     return parse_config(json.dumps({
         "mesh": {"M": M, "T": 1.0, "r": 2.0},
-        "grid": {"d": 1, "N": 32},
+        "grid": {"d": 1, "N": N},
         "problem": {
             "alpha": 0.4,
             "f": {"kind": "fisher"},
             "u0": "0.5 + 0.3*cos(2*x)",
-            "coefficients": {"a": ["1 + 0.5*t*sin(x)"]},
+            "coefficients": {"a": [a]},
             "bc": {"all": "periodic"},
         },
     }))
 
 
-class _FreshMatrix:
-    """Stands in for ``_ShiftedMatrix``: builds A + diag(shift) anew at every call."""
+class _Fresh:
+    """Stands in for the per-operator set-up: solves with A + diag(shift) built anew at every call."""
 
-    def __init__(self, A):
+    def __init__(self, A, solve):
         self.A = A
+        self._solve = solve
 
-    def with_shift(self, shift):
-        return (self.A + sp.diags(np.broadcast_to(shift, self.A.shape[0]))).tocsc()
+    def solve(self, shift, rhs, m):
+        return self._solve(self.A, shift, rhs)
+
+
+def _solve_fresh(monkeypatch, args, solve):
+    newton_level = fraxolve.pde._newton_level
+
+    def fresh_level(op, *rest):
+        # the level's own operator, its matrix set up from scratch at every solve
+        return newton_level(op, *rest[:-1], _Fresh(op.matrix, solve))
+
+    with monkeypatch.context() as mp:
+        mp.setattr(fraxolve.pde, "_newton_level", fresh_level)
+        return solve_pde(*args)
+
+
+def _same_counts(a, b):
+    return (a.newton_iters, a.lin_iters, a.picard_steps) == (b.newton_iters, b.lin_iters, b.picard_steps)
 
 
 class TestLUPattern:
     @pytest.mark.parametrize("case", LU_OPERATORS)
     def test_bitwise_equal_to_fresh_lu(self, case):
-        # successive shifts on one pattern: vector (Newton), scalar (Picard),
-        # vector again; no diagonal from an earlier call may survive
-        A = LU_OPERATORS[case]().matrix
-        shifted = fraxolve.pde._ShiftedMatrix.of(A)
+        # a 1D operator is solved on its band: bitwise equal to a band built
+        # for each shift, and within 1e-13 of SuperLU (a different pivot
+        # order rounds differently); a 2D one is bitwise SuperLU
+        op = LU_OPERATORS[case]()
+        A = op.matrix
+        banded = op.grid.d == 1
+        shifted = (fraxolve.pde._ShiftedBand if banded else fraxolve.pde._ShiftedMatrix).of(A)
+        if banded:  # the renumbering makes any 1D L_h pentadiagonal
+            assert shifted.kl <= 2 and shifted.ku <= 2
         rng = np.random.default_rng(5)
         n = A.shape[0]
-        for shift in (4.0 + rng.uniform(-1, 1, n), 3.7, 60.0 + rng.uniform(-5, 5, n), 0.25):
+        for shift in _shifts(rng, n):
             rhs = rng.standard_normal(n)
             x, n_lin = fraxolve.pde._linear_solve(shifted, shift, rhs, None, 1, 1e-10)
             assert n_lin == 1
-            assert np.array_equal(x, _fresh_lu(A, shift, rhs))
+            if banded:
+                assert np.array_equal(x, _fresh_band(A, shift, rhs))
+                assert _rel_err(x, _fresh_lu(A, shift, rhs)) <= 1e-13
+            else:
+                assert np.array_equal(x, _fresh_lu(A, shift, rhs))
 
     def test_reassembled_operator_matches_fresh_lu_every_step(self, monkeypatch):
         # a t-dependent coefficient reassembles L_h every level; each level
-        # must factor its own operator, not the pattern of an earlier one
-        rc = _t_dependent_config(30)
+        # must factor its own operator, not the band of an earlier one:
+        # bitwise equal to a band built at every solve, within 1e-13 of SuperLU
+        rc = _fisher_1d_config(30)
         assert rc.problem.coeffs.time_dependent
         args = (rc.problem, rc.mesh, rc.grid, rc.solver)
         sol = solve_pde(*args)
-        newton_level = fraxolve.pde._newton_level
-
-        def fresh_level(op, *rest):
-            # the level's own operator, A + diag(shift) built from scratch at every solve
-            return newton_level(op, *rest[:-1], _FreshMatrix(op.matrix))
-
-        with monkeypatch.context() as mp:
-            mp.setattr(fraxolve.pde, "_newton_level", fresh_level)
-            fresh = solve_pde(*args)
+        fresh = _solve_fresh(monkeypatch, args, _fresh_band)
         assert np.array_equal(sol.fields, fresh.fields)
-        assert sol.newton_iters == fresh.newton_iters
-        assert sol.lin_iters == fresh.lin_iters
-        assert sol.picard_steps == fresh.picard_steps
+        assert _same_counts(sol, fresh)
+        lu = _solve_fresh(monkeypatch, args, _fresh_lu)
+        assert _same_counts(sol, lu)
+        np.testing.assert_allclose(sol.fields, lu.fields, rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("t_dependent", [True, False])
     def test_operator_assembled_once_per_level(self, monkeypatch, t_dependent):
         # a t-dependent L_h is assembled once per level (the one at t_1 before
         # the loop serves m = 1); a constant one once per solve
-        rc = _t_dependent_config(10)
+        rc = _fisher_1d_config(10)
         if not t_dependent:
             rc = dataclasses.replace(
                 rc, problem=dataclasses.replace(rc.problem, coeffs=CoefficientField(a=(1.0,)))
@@ -474,3 +517,44 @@ class TestLUPattern:
             assert times == [float(t) for t in rc.mesh.nodes[1:]]
         else:
             assert times == [float(rc.mesh.nodes[1])]
+
+
+class TestBandedLU:
+    def test_1d_solve_makes_no_superlu_call(self, monkeypatch):
+        calls = []
+        splu = spla.splu
+
+        def counting_splu(*args, **kwargs):
+            calls.append(1)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(fraxolve.pde.spla, "splu", counting_splu)
+        rc = _fisher_1d_config(10)
+        sol = solve_pde(rc.problem, rc.mesh, rc.grid, rc.solver)
+        assert calls == []
+        assert sum(sol.lin_iters) > 0
+
+    def test_march1d_matches_superlu(self, monkeypatch):
+        # the same run with every 1D operator sent back to SuperLU
+        rc = _fisher_1d_config(200, N=256, a="1 + 0.5*sin(x)")
+        args = (rc.problem, rc.mesh, rc.grid, rc.solver)
+        sol = solve_pde(*args)
+        with monkeypatch.context() as mp:
+            mp.setattr(fraxolve.pde, "_ShiftedBand", fraxolve.pde._ShiftedMatrix)
+            lu = solve_pde(*args)
+        assert _same_counts(sol, lu)
+        np.testing.assert_allclose(sol.fields, lu.fields, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_singular_matrix_is_typed(self, d):
+        # shift = -diag(A) leaves A's off-diagonal part, which is exactly
+        # singular on these grids: both direct paths raise the level's
+        # NonconvergenceError instead of LAPACK's or SuperLU's own failure
+        op = assemble(Grid(d, 8, 1.0), CoefficientField(a=(1.0,) * d), 0.0, BoundarySpec.dirichlet0(d))
+        A = op.matrix
+        shifted = (fraxolve.pde._ShiftedBand if d == 1 else fraxolve.pde._ShiftedMatrix).of(A)
+        with pytest.raises(NonconvergenceError, match="singular") as exc:
+            fraxolve.pde._linear_solve(shifted, -A.diagonal(), np.ones(A.shape[0]), None, 7, 1e-10)
+        assert exc.value.level == 7
+        if d == 2:
+            assert isinstance(exc.value.__cause__, RuntimeError)
