@@ -6,6 +6,7 @@ coefficients use the grammar in :mod:`fraxolve.expressions`.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -167,7 +168,7 @@ def _parse_bc(obj, path, d):
 
 
 def _parse_solver(obj, path):
-    fields = ("nonlin_tol", "max_newton", "damping", "strict_restriction")
+    fields = ("nonlin_tol", "max_newton", "strict_restriction")
     _require_keys(obj, path, (), fields)
     kwargs = {}
     for k in fields:
@@ -227,13 +228,7 @@ def parse_config(text: str) -> RunConfig:
                 "t" in v.variables for v in a + (b or ()) + (c,) + robin if callable(v)
             )
             coeffs = CoefficientField(a=a, b=b, c=c, time_dependent=time_dependent)
-            u0_expr = _expression(p.get("u0", "0"), "problem.u0")
-
-            def u0(pts, _e=u0_expr):
-                x = pts[:, 0]
-                y = pts[:, 1] if pts.shape[1] > 1 else np.zeros_like(x)
-                return np.broadcast_to(np.asarray(_e(x=x, y=y, t=0.0), dtype=float), x.shape)
-
+            u0 = functools.partial(_space_fn(_expression(p.get("u0", "0"), "problem.u0")), t=0.0)
             problem = Problem(coeffs=coeffs, bc=bc, f=f, u0=u0, alpha=alpha)
         else:
             u0_val = p.get("u0", 0.0)

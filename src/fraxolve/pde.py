@@ -3,17 +3,17 @@
     kappa_{m,m} U^m + L_h U^m + f(z, t_m, U^m) = F^m
 
 with damped Newton, an M-matrix Jacobian under the step restriction, and
-range preservation for invariant-range reactions.  The operator picks the
-linear solver:
+range preservation for invariant-range reactions.  Each assembled L_h gets
+one solver object whose ``solve(shift, rhs, m, tol)`` makes the whole
+linear-solve choice for (L_h + diag(shift)) x = rhs:
 
-* 1D: one banded LU (LAPACK ``dgbsv``) per solve; renumbering the unknowns
-  0, n-1, 1, n-2, ... makes every 1D L_h, periodic or not, a band of
-  half-width 2.
-* 2D with a fast inverse (``spatial.fast_inverse``): a Picard matrix
-  L_h + kappa_mm I is inverted directly and an SPD Newton matrix is solved
-  by CG preconditioned with that inverse.
-* Otherwise (2D variable coefficients, convection, Robin faces, or a
-  matrix not provably SPD): one SuperLU factorization per solve.
+* 1D (``_ShiftedBand``): one banded LU (LAPACK ``dgbsv``) per solve;
+  renumbering the unknowns 0, n-1, 1, n-2, ... makes every 1D L_h,
+  periodic or not, a band of half-width 2.
+* 2D (``_ShiftedMatrix``): CG preconditioned with the fast inverse
+  (``spatial.fast_inverse``) when there is one and the matrix is provably
+  SPD; otherwise (variable coefficients, convection, Robin faces, or a
+  matrix not provably SPD) one SuperLU factorization per solve.
 
 CG is inexact Newton (Dembo-Eisenstat-Steihaug): it stops once its
 residual is below a tenth of the Newton tolerance, not at full accuracy.
@@ -25,6 +25,7 @@ once per level, at t_m.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -87,71 +88,87 @@ class SolutionHistory:
 
 _CG_RTOL = 1e-13  # the floor of the CG forcing term
 _CG_MAXITER = 200
-
-
-def _pcg(J: sp.spmatrix, rhs: np.ndarray, fast: FastInverse, s: float, m: int, rtol: float):
-    """CG on the SPD J, preconditioned by (L_h + s I)^{-1}, to ||rhs - J x||_2 <= rtol ||rhs||_2.
-
-    Returns x and its iterations.
-    """
-    iters = 0
-
-    def count(_):
-        nonlocal iters
-        iters += 1
-
-    pre = spla.LinearOperator(J.shape, matvec=lambda r: fast(r, s), dtype=float)
-    x, info = spla.cg(J, rhs, rtol=rtol, atol=0.0, maxiter=_CG_MAXITER, M=pre, callback=count)
-    if info != 0:
-        lin_res = float(np.linalg.norm(rhs - J @ x) / np.linalg.norm(rhs))
-        raise NonconvergenceError(
-            m, lin_res,
-            f"CG did not reach relative residual {rtol:.3g} in {_CG_MAXITER} "
-            f"iterations at level {m} (reached {lin_res:.3e})",
-        )
-    return x, iters
+_DAMPING = 0.5  # line-search shrink factor
 
 
 @dataclass
 class _ShiftedMatrix:
-    """A + diag(shift) of a 2D operator as one CSC matrix, set up once per assembled A.
+    """The solver of a 2D operator A: one CSC matrix, set up once per assembled A.
 
-    ``J`` has the off-diagonal entries of A and a full diagonal; ``with_shift``
+    ``J`` has the off-diagonal entries of A and a full diagonal; a solve
     only rewrites the diagonal entries (positions ``diag_pos`` in J.data)
     with A's diagonal plus the shift, so the sparsity never changes.
+    ``fast`` is the fast inverse of A, or None.
     """
 
     J: sp.csc_matrix
     diag_pos: np.ndarray
     a_diag: np.ndarray
+    fast: FastInverse | None
 
     @classmethod
-    def of(cls, A: sp.spmatrix) -> "_ShiftedMatrix":
+    def of(cls, A: sp.spmatrix, fast: FastInverse | None = None) -> "_ShiftedMatrix":
         n = A.shape[0]
         a_diag = A.diagonal()
         # drop A's diagonal before adding I, so no a_ii + 1 can cancel to a missing entry
         J = (A - sp.diags(a_diag) + sp.eye(n)).tocsc()
         cols = np.repeat(np.arange(n), np.diff(J.indptr))
-        return cls(J, np.flatnonzero(J.indices == cols), a_diag)
+        return cls(J, np.flatnonzero(J.indices == cols), a_diag, fast)
 
-    def with_shift(self, shift) -> sp.csc_matrix:
+    def solve(self, shift, rhs: np.ndarray, m: int, tol: float) -> tuple[np.ndarray, int]:
+        """Solve (A + diag(shift)) x = rhs, rhs != 0; returns x and the linear iterations.
+
+        With a fast inverse and a provably SPD matrix, min(shift) >
+        -lambda_min(A), CG preconditioned by (A + s I)^{-1} at the mean
+        shift s (exact for a constant shift: 1 iteration), to the
+        inexact-Newton forcing term rtol = max(1e-13, min(1e-2, 0.1 tol /
+        ||rhs||_2)): with ``tol`` the Newton tolerance on the residual's
+        inf-norm, the linear residual keeps inf-norm <= 0.1 tol (or relative
+        2-norm <= 1e-13) for any rhs.  Otherwise one SuperLU solve, counted
+        1, that ignores ``tol``; an exactly singular matrix raises
+        ``NonconvergenceError(m)``.
+        """
+        if self.fast is not None:
+            lo, hi = float(np.min(shift)), float(np.max(shift))
+            if lo > -self.fast.lam_min:
+                rtol = max(_CG_RTOL, min(1e-2, 0.1 * tol / float(np.linalg.norm(rhs))))
+                return self._pcg(shift, rhs, 0.5 * (lo + hi), m, rtol)
+        try:
+            lu = spla.splu(self._with_shift(shift))
+        except RuntimeError as err:  # "Factor is exactly singular"
+            msg = f"singular linear system at level {m}: {err}"
+            raise NonconvergenceError(m, np.inf, msg) from err
+        return lu.solve(rhs), 1
+
+    def _with_shift(self, shift) -> sp.csc_matrix:
         """J rewritten in place to A + diag(shift); valid until the next call."""
         self.J.data[self.diag_pos] = self.a_diag + shift
         return self.J
 
-    def solve(self, shift, rhs: np.ndarray, m: int) -> np.ndarray:
-        """(A + diag(shift))^{-1} rhs by one SuperLU factorization."""
-        try:
-            lu = spla.splu(self.with_shift(shift))
-        except RuntimeError as err:  # "Factor is exactly singular"
-            msg = f"singular linear system at level {m}: {err}"
-            raise NonconvergenceError(m, np.inf, msg) from err
-        return lu.solve(rhs)
+    def _pcg(self, shift, rhs: np.ndarray, s: float, m: int, rtol: float):
+        """CG on A + diag(shift), preconditioned by (A + s I)^{-1}, to relative residual rtol."""
+        J = self._with_shift(shift)
+        iters = 0
+
+        def count(_):
+            nonlocal iters
+            iters += 1
+
+        pre = spla.LinearOperator(J.shape, matvec=lambda r: self.fast(r, s), dtype=float)
+        x, info = spla.cg(J, rhs, rtol=rtol, atol=0.0, maxiter=_CG_MAXITER, M=pre, callback=count)
+        if info != 0:
+            lin_res = float(np.linalg.norm(rhs - J @ x) / np.linalg.norm(rhs))
+            raise NonconvergenceError(
+                m, lin_res,
+                f"CG did not reach relative residual {rtol:.3g} in {_CG_MAXITER} "
+                f"iterations at level {m} (reached {lin_res:.3e})",
+            )
+        return x, iters
 
 
 @dataclass
 class _ShiftedBand:
-    """A + diag(shift) of a 1D operator as one LAPACK band, set up once per assembled A.
+    """The solver of a 1D operator A: one LAPACK band, set up once per assembled A.
 
     The unknowns are renumbered 0, n-1, 1, n-2, 2, ... (``perm``): every
     coupling of neighbours, the periodic one of 0 and n-1 included, is then
@@ -182,8 +199,8 @@ class _ShiftedBand:
         band[kl + ku + row - col, col] = P.data[off]
         return cls(perm, band, P.diagonal(), kl, ku)
 
-    def solve(self, shift, rhs: np.ndarray, m: int) -> np.ndarray:
-        """(A + diag(shift))^{-1} rhs by one banded LU."""
+    def solve(self, shift, rhs: np.ndarray, m: int, tol: float) -> tuple[np.ndarray, int]:
+        """(A + diag(shift))^{-1} rhs by one banded LU, counted 1; ``tol`` is unused."""
         p = self.perm
         ab = self.band.copy(order="F")
         ab[self.kl + self.ku] = self.a_diag + (shift[p] if np.ndim(shift) else shift)
@@ -193,38 +210,7 @@ class _ShiftedBand:
             raise NonconvergenceError(m, np.inf, msg)
         out = np.empty_like(x)
         out[p] = x
-        return out
-
-
-def _linear_solve(
-    shifted: _ShiftedMatrix | _ShiftedBand, shift, rhs: np.ndarray, fast: FastInverse | None,
-    m: int, tol: float,
-) -> tuple[np.ndarray, int]:
-    """Solve (A + diag(shift)) x = rhs, rhs != 0; returns x and the linear iterations.
-
-    The operator picks the solver.  A 1D operator (``_ShiftedBand``) is
-    solved by one banded LU.  In 2D, with a fast inverse of A and a
-    provably SPD matrix, min(shift) > -lambda_min(A): a constant shift is
-    inverted directly, any other runs CG.  Everything else is one SuperLU
-    solve.  CG and SuperLU both take the matrix from ``shifted``, built
-    once per assembled operator.  Direct solves count 1; an exactly
-    singular matrix raises ``NonconvergenceError(m)``.
-
-    CG uses the inexact-Newton forcing term rtol = max(1e-13, min(1e-2,
-    0.1 tol / ||rhs||_2)), with ``tol`` the Newton tolerance on the
-    residual's inf-norm: the linear residual then has inf-norm <= 0.1 tol
-    (or relative 2-norm <= 1e-13), a tenth of what the Newton residual
-    may keep.  The 2-norm, not the inf-norm, keeps that bound for any
-    rhs.  The direct solves are exact and ignore ``tol``.
-    """
-    if fast is not None:
-        lo, hi = float(np.min(shift)), float(np.max(shift))
-        if lo > -fast.lam_min:
-            if lo == hi:
-                return fast(rhs, lo), 1
-            rtol = max(_CG_RTOL, min(1e-2, 0.1 * tol / float(np.linalg.norm(rhs))))
-            return _pcg(shifted.with_shift(shift), rhs, fast, 0.5 * (lo + hi), m, rtol)
-    return shifted.solve(shift, rhs, m), 1
+        return out, 1
 
 
 def _newton_level(
@@ -238,8 +224,7 @@ def _newton_level(
     pts: np.ndarray,
     cfg: SolverConfig,
     m: int,
-    fast: FastInverse | None,
-    shifted: _ShiftedMatrix | _ShiftedBand,
+    solver: _ShiftedMatrix | _ShiftedBand,
 ):
     A = op.matrix
 
@@ -260,9 +245,9 @@ def _newton_level(
             dvals = kmm + np.asarray(f.deriv_s(pts, t, u))
         else:
             dvals = kmm  # Picard: frozen nonlinearity
-        step, n_lin = _linear_solve(shifted, dvals, -res, fast, m, tol)
+        step, n_lin = solver.solve(dvals, -res, m, tol)
         lin_total += n_lin
-        # residual-norm line search, shrink by cfg.damping down to 2^-20
+        # residual-norm line search, shrink by _DAMPING down to 2^-20
         damp = 1.0
         while damp >= 2.0**-20:
             u_new = u + damp * step
@@ -271,10 +256,10 @@ def _newton_level(
             if rnorm_new < rnorm or rnorm_new <= tol:
                 u, res, rnorm = u_new, res_new, rnorm_new
                 break
-            damp *= cfg.damping
+            damp *= _DAMPING
         else:
             # line search stalled; Picard step (monotone at small tau)
-            step, n_lin = _linear_solve(shifted, kmm, -residual(u), fast, m, tol)
+            step, n_lin = solver.solve(kmm, -residual(u), m, tol)
             lin_total += n_lin
             picard += 1
             u = u + step
@@ -306,9 +291,12 @@ def solve_pde(
     op = assemble(grid, problem.coeffs, float(mesh.nodes[1]), problem.bc)
     # a 1D L_h is (cyclic) tridiagonal: one banded LU per solve costs less than
     # the set-up of SuperLU and the per-call overhead of the transforms and of CG
-    shifted_of = _ShiftedBand.of if grid.d == 1 else _ShiftedMatrix.of
-    shifted = shifted_of(op.matrix)
-    fast = fast_inverse(grid, problem.coeffs, problem.bc) if grid.d == 2 else None
+    if grid.d == 1:
+        solver_of = _ShiftedBand.of
+    else:
+        fast = fast_inverse(grid, problem.coeffs, problem.bc)
+        solver_of = functools.partial(_ShiftedMatrix.of, fast=fast)
+    solver = solver_of(op.matrix)
     pts_unknown = grid.points()[op.unknown_flat]
 
     fields = np.empty((mesh.M + 1, grid.n_nodes))
@@ -319,13 +307,13 @@ def solve_pde(
         t_m = float(mesh.nodes[m])
         if problem.coeffs.time_dependent and m > 1:  # the operator at t_1 is built above
             op = assemble(grid, problem.coeffs, t_m, problem.bc)
-            shifted = shifted_of(op.matrix)
+            solver = solver_of(op.matrix)
         # F sums whole rows; keep the unknowns (a column-indexed slice would copy m rows)
         Fm = F[op.unknown_flat]
         g_dir = op.data_vector(t_m)
         u, iters, rnorm, lin_it, picard = _newton_level(
             op, problem.f, t_m, kmm, Fm, g_dir, fields[m - 1][op.unknown_flat],
-            pts_unknown, cfg, m, fast, shifted,
+            pts_unknown, cfg, m, solver,
         )
         fields[m] = op.scatter(u, t_m)
         out.newton_iters.append(iters)

@@ -44,20 +44,19 @@ class NonconvergenceError(RuntimeError):
 class SolverConfig:
     """Per-level nonlinear solver knobs (shared by scalar and PDE paths).
 
-    The PDE path picks its linear solver from the operator (banded LU in 1D;
-    fast-diagonalization preconditioned CG or sparse LU in 2D, see
-    :mod:`fraxolve.pde`), so there are no linear-solver knobs.
+    The PDE path has no linear-solver knobs: each assembled operator gets one
+    solver object (see :mod:`fraxolve.pde`), a banded LU in 1D and, in 2D,
+    CG preconditioned by the fast inverse when the matrix is SPD and there is
+    one, else sparse LU.
     """
 
     nonlin_tol: float = 1e-10
     max_newton: int = 30
-    damping: float = 0.5
     strict_restriction: bool = False
 
     def __post_init__(self):
-        for name in ("nonlin_tol", "damping"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+        if not self.nonlin_tol > 0:
+            raise ValueError("nonlin_tol must be positive")
 
 
 _SCALAR_CFG = SolverConfig(nonlin_tol=1e-12, max_newton=50)

@@ -278,17 +278,8 @@ def assemble(
     if coeffs.c is not None:
         diag += _eval_coef(coeffs.c, upts, t)
 
-    def add_entries(rows, target_flat, w):
+    def add_entries(rows, tgt, w):
         """Route coefficients w (at rows) to unknown/Dirichlet columns."""
-        tgt = target_flat.copy()
-        # canonicalize periodic duplicates among targets
-        is_dup = role[tgt] == 2
-        if np.any(is_dup):
-            tmulti = idx[tgt[is_dup]].copy()
-            for axis in range(grid.d):
-                if bc.axis_periodic(axis):
-                    tmulti[tmulti[:, axis] == N, axis] = 0
-            tgt[is_dup] = np.ravel_multi_index(tmulti.T, grid.shape)
         to_dir = role[tgt] == 1
         to_unk = ~to_dir
         if np.any(to_unk):

@@ -259,13 +259,16 @@ class TestSolverSection:
             parse_config(make(doc))
 
     def test_unknown_knob(self):
-        doc = json.loads(make(BASE_PDE))
-        doc["solver"] = {"tol": 1e-8}
-        with pytest.raises(ConfigError, match="tol"):
-            parse_config(make(doc))
+        # the line-search damping is a fixed constant of the PDE solver, not a knob
+        for knob, value in (("tol", 1e-8), ("damping", 0.5)):
+            doc = json.loads(make(BASE_PDE))
+            doc["solver"] = {knob: value}
+            with pytest.raises(ConfigError, match=rf"solver: unknown key\(s\) \['{knob}'\]"):
+                parse_config(make(doc))
 
     def test_linear_solver_knobs_rejected(self):
-        # every linear system is solved by sparse LU: no tolerance or cap to set
+        # the operator picks the linear solver and CG takes its tolerance from
+        # the Newton tolerance: no linear tolerance or cap to set
         for knob, value in (("lin_tol", 1e-8), ("lin_max_iters", 100)):
             doc = json.loads(make(BASE_PDE))
             doc["solver"] = {knob: value}

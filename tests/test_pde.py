@@ -319,8 +319,7 @@ class TestFastLinearSolve:
         grid = Grid(2, 16, math.pi)
         problem = allen_cahn_problem(0.5)
         A = assemble(grid, problem.coeffs, 0.0, problem.bc).matrix
-        fast = fast_inverse(grid, problem.coeffs, problem.bc)
-        shifted = fraxolve.pde._ShiftedMatrix.of(A)
+        solver = fraxolve.pde._ShiftedMatrix.of(A, fast_inverse(grid, problem.coeffs, problem.bc))
         rng = np.random.default_rng(3)
         shift = 5.0 + rng.uniform(-1.0, 1.0, A.shape[0])
         rhs = rng.standard_normal(A.shape[0])
@@ -334,12 +333,25 @@ class TestFastLinearSolve:
 
         monkeypatch.setattr(fraxolve.pde.spla, "cg", recording_cg)
         for tol, rtol in ((1e-6, 1e-7 / rhs_norm), (rhs_norm, 1e-2), (1e-20, 1e-13)):
-            x, n_lin = fraxolve.pde._linear_solve(shifted, shift, rhs, fast, 1, tol)
+            x, n_lin = solver.solve(shift, rhs, 1, tol)
             assert rtols[-1] == pytest.approx(rtol, rel=1e-15)
             assert n_lin > 1
             lin_res = rhs - (A + sp.diags(shift)) @ x
             assert np.linalg.norm(lin_res) <= rtol * rhs_norm
             assert np.max(np.abs(lin_res)) <= max(0.1 * tol, 1e-13 * rhs_norm)
+
+    @pytest.mark.parametrize("s", [0.7, 5.0, 1e3])
+    def test_constant_shift_takes_one_cg_iteration(self, s):
+        # a constant shift makes the preconditioner (L_h + s I)^{-1} exact:
+        # CG stops after one iteration, at the direct inverse to rounding
+        grid = Grid(2, 16, math.pi)
+        problem = allen_cahn_problem(0.5)
+        A = assemble(grid, problem.coeffs, 0.0, problem.bc).matrix
+        fast = fast_inverse(grid, problem.coeffs, problem.bc)
+        rhs = np.random.default_rng(4).standard_normal(A.shape[0])
+        x, n_lin = fraxolve.pde._ShiftedMatrix.of(A, fast).solve(np.full(A.shape[0], s), rhs, 1, 1e-10)
+        assert n_lin == 1
+        assert _rel_err(x, fast(rhs, s)) <= 1e-13
 
     def test_cg_failure_is_loud(self, monkeypatch):
         def stalled_cg(A, b, **kwargs):
@@ -363,7 +375,8 @@ class TestFastLinearSolve:
         sol = solve_pde(dataclasses.replace(problem, f=wrong), mesh, grid, SolverConfig(max_newton=60))
         assert min(sol.picard_steps) > 0
         assert all(p <= n for p, n in zip(sol.picard_steps, sol.newton_iters))
-        # each step is one LU solve (the matrix is not SPD), each Picard step one direct solve
+        # each step is one LU solve (the matrix is not SPD); each Picard step, with
+        # its constant shift, one CG iteration preconditioned by the exact inverse
         assert sol.lin_iters == [n + p for n, p in zip(sol.newton_iters, sol.picard_steps)]
         np.testing.assert_allclose(sol.fields, good.fields, rtol=0, atol=1e-9)
 
@@ -375,7 +388,7 @@ def _fresh_lu(A, shift, rhs):
 
 def _fresh_band(A, shift, rhs):
     """The banded LU solve of (A + diag(shift)) x = rhs with the band built from scratch."""
-    return fraxolve.pde._ShiftedBand.of(A).solve(shift, rhs, 1)
+    return fraxolve.pde._ShiftedBand.of(A).solve(shift, rhs, 1, 0.0)[0]
 
 
 def _rel_err(x, want):
@@ -436,8 +449,8 @@ class _Fresh:
         self.A = A
         self._solve = solve
 
-    def solve(self, shift, rhs, m):
-        return self._solve(self.A, shift, rhs)
+    def solve(self, shift, rhs, m, tol):
+        return self._solve(self.A, shift, rhs), 1
 
 
 def _solve_fresh(monkeypatch, args, solve):
@@ -465,14 +478,14 @@ class TestLUPattern:
         op = LU_OPERATORS[case]()
         A = op.matrix
         banded = op.grid.d == 1
-        shifted = (fraxolve.pde._ShiftedBand if banded else fraxolve.pde._ShiftedMatrix).of(A)
+        solver = (fraxolve.pde._ShiftedBand if banded else fraxolve.pde._ShiftedMatrix).of(A)
         if banded:  # the renumbering makes any 1D L_h pentadiagonal
-            assert shifted.kl <= 2 and shifted.ku <= 2
+            assert solver.kl <= 2 and solver.ku <= 2
         rng = np.random.default_rng(5)
         n = A.shape[0]
         for shift in _shifts(rng, n):
             rhs = rng.standard_normal(n)
-            x, n_lin = fraxolve.pde._linear_solve(shifted, shift, rhs, None, 1, 1e-10)
+            x, n_lin = solver.solve(shift, rhs, 1, 1e-10)
             assert n_lin == 1
             if banded:
                 assert np.array_equal(x, _fresh_band(A, shift, rhs))
@@ -552,9 +565,9 @@ class TestBandedLU:
         # NonconvergenceError instead of LAPACK's or SuperLU's own failure
         op = assemble(Grid(d, 8, 1.0), CoefficientField(a=(1.0,) * d), 0.0, BoundarySpec.dirichlet0(d))
         A = op.matrix
-        shifted = (fraxolve.pde._ShiftedBand if d == 1 else fraxolve.pde._ShiftedMatrix).of(A)
+        solver = (fraxolve.pde._ShiftedBand if d == 1 else fraxolve.pde._ShiftedMatrix).of(A)
         with pytest.raises(NonconvergenceError, match="singular") as exc:
-            fraxolve.pde._linear_solve(shifted, -A.diagonal(), np.ones(A.shape[0]), None, 7, 1e-10)
+            solver.solve(-A.diagonal(), np.ones(A.shape[0]), 7, 1e-10)
         assert exc.value.level == 7
         if d == 2:
             assert isinstance(exc.value.__cause__, RuntimeError)
