@@ -42,7 +42,7 @@ from .spatial import (
     assemble,
     check_max_principle,
 )
-from .special import MLParams, gamma, mittag_leffler, rgamma
+from .special import gamma, mittag_leffler, rgamma
 from .stability import (
     build_barrier,
     envelope_ratio,
@@ -64,7 +64,7 @@ __all__ = [
     "StepRestrictionWarning", "error_envelope", "range_check", "solve_scalar",
     "BoundaryCondition", "BoundarySpec", "CoefficientField", "Grid",
     "assemble", "check_max_principle",
-    "MLParams", "gamma", "mittag_leffler", "rgamma",
+    "gamma", "mittag_leffler", "rgamma",
     "build_barrier", "envelope_ratio", "envelope_values", "long_time_check",
     "solve_resolvent",
 ]

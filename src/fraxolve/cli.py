@@ -107,9 +107,6 @@ def _cmd_pde(args) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    if cfg.problem is None or cfg.grid is None:
-        print("config error: pde command needs problem and grid blocks", file=sys.stderr)
-        return EXIT_CONFIG
     try:
         sol = solve_pde(cfg.problem, cfg.mesh, cfg.grid, cfg.solver)
     except (NonconvergenceError, ValueError) as e:
@@ -122,7 +119,7 @@ def _cmd_pde(args) -> int:
     rng_ok = None
     if cfg.problem.f.range is not None:
         rng_ok = range_check_pde(sol, *cfg.problem.f.range, slack=cfg.solver.nonlin_tol)
-    restr = check_step_restriction(cfg.mesh, FracParams(cfg.alpha, cfg.problem.f.lam))
+    restr = check_step_restriction(cfg.mesh, FracParams(cfg.problem.alpha, cfg.problem.f.lam))
     _manifest(out_dir, "pde", {
         "command": "pde", "version": __version__, "config_hash": _config_hash(text),
         "restriction": {"pass": restr.passed, "lhs": restr.lhs, "rhs": restr.rhs},

@@ -1,7 +1,12 @@
 """JSON configuration ingestion for the command-line front end.
 
-Unknown keys are rejected with their path; expressions for u0 and
-coefficients use the grammar in :mod:`fraxolve.expressions`.
+A run configuration describes one space-time solve: a temporal ``mesh``
+(graded ``M, T, r`` or explicit ``nodes``), a spatial ``grid`` (``d, N,
+X``), the ``problem`` (``alpha``, reaction ``f``, ``u0``, coefficients
+and boundary faces) and optional ``solver`` settings.  Unknown keys and
+invalid values raise :class:`ConfigError` with their path; expressions for
+u0, coefficients and boundary values use the grammar in
+:mod:`fraxolve.expressions`.
 """
 
 from __future__ import annotations
@@ -10,13 +15,12 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .expressions import ExpressionError, parse_expression
 from .mesh import TemporalMesh, build_graded
-from .nonlinearity import Nonlinearity, builtin
+from .nonlinearity import builtin
 from .pde import Problem, SolverConfig
 from .spatial import BoundaryCondition, BoundarySpec, CoefficientField, Grid, _FACE_NAMES
 
@@ -86,12 +90,11 @@ def _coef_entry(obj, path):
 
 @dataclass
 class RunConfig:
+    """One solve: ``solve_pde(problem, mesh, grid, solver)``."""
+
     mesh: TemporalMesh
-    grid: Optional[Grid]
-    problem: Optional[Problem]
-    f: Optional[Nonlinearity]
-    u0_scalar: Optional[float]
-    alpha: float
+    grid: Grid
+    problem: Problem
     solver: SolverConfig
 
 
@@ -123,28 +126,35 @@ def _parse_grid(obj, path):
     return Grid(d=d, N=N, X=X)
 
 
+def _alpha(obj, path):
+    alpha = _number(obj, path, strict_min=0.0)
+    if not alpha < 1.0:
+        raise ConfigError(path, "alpha must be in (0, 1)")
+    return alpha
+
+
+_F_KEYS = {"allen_cahn": ("alpha",), "fisher": (), "linear": ("cstar", "F"), "zero": ()}
+
+
 def _parse_f(obj, path):
     _require_keys(obj, path, ("kind",), ("alpha", "cstar", "F"))
     kind = obj["kind"]
+    if not isinstance(kind, str) or kind not in _F_KEYS:
+        raise ConfigError(f"{path}.kind", f"unknown nonlinearity kind {kind!r}")
+    _require_keys(obj, path, ("kind",), _F_KEYS[kind])
     if kind == "allen_cahn":
-        return builtin("allen_cahn", alpha=_number(obj.get("alpha", 0.5), f"{path}.alpha"))
+        return builtin("allen_cahn", alpha=_alpha(obj.get("alpha", 0.5), f"{path}.alpha"))
     if kind == "fisher":
         return builtin("fisher")
     if kind == "linear":
-        cstar = obj.get("cstar", 0.0)
-        F = obj.get("F", 0.0)
-        if isinstance(cstar, str):
-            raise ConfigError(f"{path}.cstar", "expression coefficients for linear f "
-                              "are only available through the library API")
-        return builtin("linear", cstar=cstar, F=F)
-    if kind == "zero":
-        return builtin("linear", cstar=0.0, F=0.0)
-    raise ConfigError(f"{path}.kind", f"unknown nonlinearity kind {kind!r}")
+        cstar = _number(obj.get("cstar", 0.0), f"{path}.cstar")
+        return builtin("linear", cstar=cstar, F=_number(obj.get("F", 0.0), f"{path}.F"))
+    return builtin("linear", cstar=0.0, F=0.0)
 
 
 def _parse_bc(obj, path, d):
     names = _FACE_NAMES[d]
-    if "all" in obj:
+    if isinstance(obj, dict) and "all" in obj:
         _require_keys(obj, path, ("all",))
         kind = obj["all"]
         if kind == "dirichlet0":
@@ -159,12 +169,19 @@ def _parse_bc(obj, path, d):
             raise ConfigError(path, f"missing face {name!r}")
         spec = obj[name]
         _require_keys(spec, f"{path}.{name}", ("kind",), ("value",))
-        kind = spec["kind"]
         value = spec.get("value", 0.0)
         if isinstance(value, str):
             value = _space_fn(_expression(value, f"{path}.{name}.value"))
-        faces[name] = BoundaryCondition(kind, value)
-    return BoundarySpec(faces, d)
+        else:
+            value = _number(value, f"{path}.{name}.value")
+        try:
+            faces[name] = BoundaryCondition(spec["kind"], value)
+        except ValueError as e:  # an unknown kind
+            raise ConfigError(f"{path}.{name}.kind", str(e)) from None
+    try:
+        return BoundarySpec(faces, d)
+    except ValueError as e:  # unpaired periodic faces
+        raise ConfigError(path, str(e)) from None
 
 
 def _parse_solver(obj, path):
@@ -190,53 +207,36 @@ def parse_config(text: str) -> RunConfig:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigError("<document>", f"invalid JSON: {e}") from None
-    _require_keys(raw, "<root>", ("mesh",), ("problem", "grid", "solver"))
+    _require_keys(raw, "<root>", ("mesh", "grid", "problem"), ("solver",))
     mesh = _parse_mesh(raw["mesh"], "mesh")
-    grid = _parse_grid(raw["grid"], "grid") if "grid" in raw else None
+    grid = _parse_grid(raw["grid"], "grid")
     solver = _parse_solver(raw.get("solver", {}), "solver")
 
-    problem = None
-    f = None
-    u0_scalar = None
-    alpha = 0.5
-    if "problem" in raw:
-        p = raw["problem"]
-        _require_keys(p, "problem", ("f",), ("u0", "alpha", "coefficients", "bc"))
-        alpha = _number(p.get("alpha", 0.5), "problem.alpha", strict_min=0.0)
-        if not alpha < 1.0:
-            raise ConfigError("problem.alpha", "alpha must be in (0, 1)")
-        f = _parse_f(p["f"], "problem.f")
-        if grid is not None:
-            coeffs_obj = p.get("coefficients", {})
-            _require_keys(coeffs_obj, "problem.coefficients", (), ("a", "b", "c"))
-            a_obj = coeffs_obj.get("a", [1.0] * grid.d)
-            if not isinstance(a_obj, list) or len(a_obj) != grid.d:
-                raise ConfigError("problem.coefficients.a", f"expected {grid.d} entries")
-            a = tuple(_coef_entry(v, f"problem.coefficients.a[{i}]") for i, v in enumerate(a_obj))
-            b = None
-            if "b" in coeffs_obj:
-                b_obj = coeffs_obj["b"]
-                if not isinstance(b_obj, list) or len(b_obj) != grid.d:
-                    raise ConfigError("problem.coefficients.b", f"expected {grid.d} entries")
-                b = tuple(_coef_entry(v, f"problem.coefficients.b[{i}]") for i, v in enumerate(b_obj))
-            c = _coef_entry(coeffs_obj["c"], "problem.coefficients.c") if "c" in coeffs_obj else None
-            bc = _parse_bc(p.get("bc", {"all": "dirichlet0"}), "problem.bc", grid.d)
-            # L_h holds a, b, c and every Robin mu, so it is reassembled per level
-            # when any of them references t
-            robin = tuple(face.value for face in bc.faces.values() if face.kind == "robin")
-            time_dependent = any(
-                "t" in v.variables for v in a + (b or ()) + (c,) + robin if callable(v)
-            )
-            coeffs = CoefficientField(a=a, b=b, c=c, time_dependent=time_dependent)
-            u0 = functools.partial(_space_fn(_expression(p.get("u0", "0"), "problem.u0")), t=0.0)
-            problem = Problem(coeffs=coeffs, bc=bc, f=f, u0=u0, alpha=alpha)
-        else:
-            u0_val = p.get("u0", 0.0)
-            if isinstance(u0_val, str):
-                u0_scalar = float(_expression(u0_val, "problem.u0")(t=0.0))
-            else:
-                u0_scalar = _number(u0_val, "problem.u0")
-    return RunConfig(
-        mesh=mesh, grid=grid, problem=problem, f=f, u0_scalar=u0_scalar,
-        alpha=alpha, solver=solver,
+    p = raw["problem"]
+    _require_keys(p, "problem", ("f",), ("u0", "alpha", "coefficients", "bc"))
+    alpha = _alpha(p.get("alpha", 0.5), "problem.alpha")
+    f = _parse_f(p["f"], "problem.f")
+    coeffs_obj = p.get("coefficients", {})
+    _require_keys(coeffs_obj, "problem.coefficients", (), ("a", "b", "c"))
+    a_obj = coeffs_obj.get("a", [1.0] * grid.d)
+    if not isinstance(a_obj, list) or len(a_obj) != grid.d:
+        raise ConfigError("problem.coefficients.a", f"expected {grid.d} entries")
+    a = tuple(_coef_entry(v, f"problem.coefficients.a[{i}]") for i, v in enumerate(a_obj))
+    b = None
+    if "b" in coeffs_obj:
+        b_obj = coeffs_obj["b"]
+        if not isinstance(b_obj, list) or len(b_obj) != grid.d:
+            raise ConfigError("problem.coefficients.b", f"expected {grid.d} entries")
+        b = tuple(_coef_entry(v, f"problem.coefficients.b[{i}]") for i, v in enumerate(b_obj))
+    c = _coef_entry(coeffs_obj["c"], "problem.coefficients.c") if "c" in coeffs_obj else None
+    bc = _parse_bc(p.get("bc", {"all": "dirichlet0"}), "problem.bc", grid.d)
+    # L_h holds a, b, c and every Robin mu, so it is reassembled per level
+    # when any of them references t
+    robin = tuple(face.value for face in bc.faces.values() if face.kind == "robin")
+    time_dependent = any(
+        "t" in v.variables for v in a + (b or ()) + (c,) + robin if callable(v)
     )
+    coeffs = CoefficientField(a=a, b=b, c=c, time_dependent=time_dependent)
+    u0 = functools.partial(_space_fn(_expression(p.get("u0", "0"), "problem.u0")), t=0.0)
+    problem = Problem(coeffs=coeffs, bc=bc, f=f, u0=u0, alpha=alpha)
+    return RunConfig(mesh=mesh, grid=grid, problem=problem, solver=solver)

@@ -155,7 +155,7 @@ class TableSpec:
     n_rule: str  # key of _N_RULES
     study: str  # 'time' | 'space' | 'global'
     problem_factory: Callable = allen_cahn_problem
-    max_cost: float | None = 5e13  # ~ sum of M^2 * n_unknown over runs
+    max_cost: float = 5e13  # ~ sum of M^2 * n_unknown over runs
 
     def rs_for(self, alpha: float) -> tuple:
         return tuple(self.rs(alpha)) if callable(self.rs) else tuple(self.rs)
@@ -223,12 +223,9 @@ def table_run(spec: TableSpec) -> list[dict]:
     order, each when its first row needs it, and released after its last
     row: peak memory is about one coarse/fine pair of histories.
     """
-    if spec.max_cost is not None:
-        est = _estimate_cost(spec)
-        if est > spec.max_cost:
-            raise BudgetError(
-                f"estimated cost {est:.3g} exceeds budget {spec.max_cost:.3g}"
-            )
+    est = _estimate_cost(spec)
+    if est > spec.max_cost:
+        raise BudgetError(f"estimated cost {est:.3g} exceeds budget {spec.max_cost:.3g}")
     last = _last_use(spec)
     live: dict[tuple, SolutionHistory] = {}
     rows = []

@@ -82,9 +82,6 @@ class SolutionHistory:
     picard_steps: list[int] = field(default_factory=list)  # after a stalled line search
     range_ok: bool | None = None
 
-    def field_at(self, m: int) -> np.ndarray:
-        return self.fields[m].reshape(self.grid.shape)
-
 
 _CG_RTOL = 1e-13  # the floor of the CG forcing term
 _CG_MAXITER = 200

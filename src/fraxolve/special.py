@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 from scipy.integrate import quad
 
-__all__ = ["gamma", "rgamma", "mittag_leffler", "MLParams"]
+__all__ = ["gamma", "rgamma", "mittag_leffler"]
 
 # Lanczos approximation, g = 7, 9 coefficients (~1e-15 relative accuracy).
 _LANCZOS_G = 7.0
@@ -71,20 +70,9 @@ def rgamma(x: float) -> float:
     return gamma(1.0 - x) * math.sin(math.pi * x) / math.pi
 
 
-@dataclass(frozen=True)
-class MLParams:
-    """Tuning knobs for Mittag-Leffler evaluation."""
-
-    series_radius: float = 12.0
-    series_tol: float = 1e-15
-    asymptotic_terms: int = 10
-
-    def __post_init__(self):
-        if not self.series_radius > 0:
-            raise ValueError("series_radius must be positive")
-
-
-_DEFAULT_ML = MLParams()
+_SERIES_RADIUS = 12.0  # |s| beyond which the power series is not used
+_SERIES_TOL = 1e-15  # relative size of the last series term kept
+_ASYMPTOTIC_TERMS = 10  # at most this many terms of the large-s expansion
 
 
 def _series_peak_log(alpha: float, s_abs: float) -> float:
@@ -95,7 +83,7 @@ def _series_peak_log(alpha: float, s_abs: float) -> float:
     return k * math.log(s_abs) - math.lgamma(k * alpha + 1.0)
 
 
-def _ml_series_float(alpha: float, s: float, tol: float) -> tuple[float, float]:
+def _ml_series_float(alpha: float, s: float) -> tuple[float, float]:
     """Plain float64 series; returns (sum, max |term|)."""
     total = 1.0
     comp = 0.0  # Kahan compensation
@@ -111,7 +99,7 @@ def _ml_series_float(alpha: float, s: float, tol: float) -> tuple[float, float]:
         new = total + y
         comp = (new - total) - y
         total = new
-        if abs(t) < tol * max(1.0, abs(total)) and k * alpha > 1.0:
+        if abs(t) < _SERIES_TOL * max(1.0, abs(total)) and k * alpha > 1.0:
             break
         k += 1
     return total, max_term
@@ -135,11 +123,11 @@ def _ml_negative_quad(alpha: float, s: float) -> float:
     return v1 + v2
 
 
-def _ml_asymptotic(alpha: float, s: float, n_terms: int) -> float:
+def _ml_asymptotic(alpha: float, s: float) -> float:
     """Standard large-s expansion for s > 0, optimally truncated."""
     tail = 0.0
     prev = math.inf
-    for k in range(1, n_terms + 1):
+    for k in range(1, _ASYMPTOTIC_TERMS + 1):
         t = rgamma(1.0 - k * alpha) / s**k
         if abs(t) > prev:
             break  # divergent asymptotic series: stop at smallest term
@@ -156,9 +144,8 @@ def _ml_asymptotic(alpha: float, s: float, n_terms: int) -> float:
     return math.exp(arg) / alpha - tail
 
 
-def mittag_leffler(alpha: float, s: float, params: MLParams | None = None) -> float:
+def mittag_leffler(alpha: float, s: float) -> float:
     """One-parameter Mittag-Leffler function E_alpha(s), real s, alpha in (0, 1]."""
-    p = params or _DEFAULT_ML
     alpha = float(alpha)
     s = float(s)
     if not 0.0 < alpha <= 1.0:
@@ -177,9 +164,9 @@ def mittag_leffler(alpha: float, s: float, params: MLParams | None = None) -> fl
     if s < 0.0:
         # alternating series: a peak term of e^7 already costs ~3 digits,
         # so hand anything worse to the well-conditioned quadrature
-        if abs(s) <= p.series_radius and peak <= 7.0:
-            return _ml_series_float(alpha, s, p.series_tol)[0]
+        if abs(s) <= _SERIES_RADIUS and peak <= 7.0:
+            return _ml_series_float(alpha, s)[0]
         return _ml_negative_quad(alpha, s)
-    if s <= p.series_radius and peak <= 600.0:
-        return _ml_series_float(alpha, s, p.series_tol)[0]
-    return _ml_asymptotic(alpha, s, p.asymptotic_terms)
+    if s <= _SERIES_RADIUS and peak <= 600.0:
+        return _ml_series_float(alpha, s)[0]
+    return _ml_asymptotic(alpha, s)

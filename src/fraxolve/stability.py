@@ -27,6 +27,9 @@ __all__ = [
     "LongTimeReport",
 ]
 
+_BARRIER_TOL = 1e-10  # relative slack of (delta_t^alpha - lambda) B >= 0 before t_anchor + c0
+_GROWTH_TOL = 0.05  # long_time_check: allowed growth of the sup from [0, T/2] to [0, T]
+
 
 def solve_resolvent(mesh: TemporalMesh, alpha: float, lam: float, g) -> np.ndarray:
     """V with V^0 = 0 and (delta_t^alpha - lambda) V^m = g^m, m = 1..M."""
@@ -74,7 +77,6 @@ def envelope_ratio(
     alpha: float,
     lam: float,
     gamma_exp: float,
-    r: float | None = None,
     enforce_gate: bool = True,
 ) -> EnvelopeReport:
     """max_j |V^j| / V_gamma^j with V the resolvent of data g^m = (tau/t_m)^{gamma+1}.
@@ -83,12 +85,11 @@ def envelope_ratio(
     either 1 <= r <= (2-alpha)/alpha or gamma <= alpha-1 (any mesh).
     Outside those gates the report is computed but flagged ungated.
     """
-    r = mesh.r if r is None else r
     gated = True
     if lam > 0 and gamma_exp == 0:
         gated = False
     if gamma_exp > alpha - 1.0:
-        if r is None or not (1.0 <= r <= (2.0 - alpha) / alpha):
+        if mesh.r is None or not (1.0 <= mesh.r <= (2.0 - alpha) / alpha):
             gated = False
     if not gated and enforce_gate:
         raise ValueError(
@@ -137,8 +138,6 @@ def build_barrier(
     lam: float,
     c0: float,
     anchor_index: int = 0,
-    cbar: float | None = None,
-    tol: float = 1e-10,
 ) -> BarrierB:
     """Piecewise-linear barrier B with kinks on mesh points.
 
@@ -179,15 +178,11 @@ def build_barrier(
         t = mesh.nodes[1:]
         scale = max(1.0, float(np.abs(B).max()))
         early = t < t_anchor + c0
-        ok_early = bool(np.all(dB[early] >= -tol * scale)) if early.any() else True
+        ok_early = bool(np.all(dB[early] >= -_BARRIER_TOL * scale)) if early.any() else True
         late = ~early
         c_pos = float(dB[late].min()) if late.any() else math.inf
         ok_late = c_pos > 0 if late.any() else True
         return B, dB, c_pos, ok_early and ok_late
-
-    if cbar is not None:
-        B, dB, c_pos, ok = verify(cbar)
-        return BarrierB(kinks, cbar, c0, anchor_index, B, dB, c_pos, ok)
 
     c = 2.0
     while c <= 2.0**20:
@@ -217,12 +212,11 @@ def long_time_check(
     lam_prime: float,
     tau: float,
     T: float = 50.0,
-    growth_tol: float = 0.05,
 ) -> LongTimeReport:
     """Long-horizon bound |V^j| <= C tau^alpha E_alpha(lambda' t_j^alpha).
 
     Uses a uniform mesh with data g^j = (tau/t_j)^alpha; "stable" means the
-    normalized sup over [0, T] exceeds the sup over [0, T/2] by < growth_tol.
+    normalized sup over [0, T] exceeds the sup over [0, T/2] by at most 5%.
     """
     if lam > 0 and not lam_prime > lam:
         raise ValueError("need lambda' > lambda")
@@ -235,5 +229,5 @@ def long_time_check(
     ratios = np.abs(V[1:]) / denom
     sup_full = float(ratios.max())
     sup_half = float(ratios[: M // 2].max())
-    stable = sup_full <= sup_half * (1.0 + growth_tol)
+    stable = sup_full <= sup_half * (1.0 + _GROWTH_TOL)
     return LongTimeReport(alpha, lam, lam_prime, tau, mesh.T, sup_full, sup_half, stable, ratios)

@@ -127,6 +127,7 @@ class TestPDE:
             "problem": {"alpha": 0.5, "f": {"kind": "zero"}, "u0": 0.1},
         }))
         assert main(["pde", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "missing key(s) ['grid']" in capsys.readouterr().err
 
 
 class TestStability:

@@ -1,10 +1,12 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
+from fraxolve.cli import EXIT_CONFIG, main
 from fraxolve.config import ConfigError, parse_config
 from fraxolve.mesh import build_graded
 from fraxolve.pde import solve_pde
@@ -27,34 +29,38 @@ BASE_PDE = {
 }
 
 
+def with_mesh(mesh: dict) -> str:
+    return make({**BASE_PDE, "mesh": mesh})
+
+
 class TestMeshSection:
     def test_graded(self):
-        cfg = parse_config(make({"mesh": {"M": 8, "T": 2.0, "r": 3.0}}))
+        cfg = parse_config(with_mesh({"M": 8, "T": 2.0, "r": 3.0}))
         ref = build_graded(8, 2.0, 3.0)
         np.testing.assert_allclose(cfg.mesh.nodes, ref.nodes)
 
     def test_defaults(self):
-        cfg = parse_config(make({"mesh": {"M": 8}}))
+        cfg = parse_config(with_mesh({"M": 8}))
         assert cfg.mesh.T == 1.0
         assert cfg.mesh.r == 1.0
 
     def test_explicit_nodes(self):
-        cfg = parse_config(make({"mesh": {"nodes": [0.0, 0.25, 1.0]}}))
+        cfg = parse_config(with_mesh({"nodes": [0.0, 0.25, 1.0]}))
         np.testing.assert_allclose(cfg.mesh.nodes, [0.0, 0.25, 1.0])
 
     def test_M_must_be_positive_integer(self):
         with pytest.raises(ConfigError, match="mesh.M"):
-            parse_config(make({"mesh": {"M": 0}}))
+            parse_config(with_mesh({"M": 0}))
         with pytest.raises(ConfigError, match="mesh.M"):
-            parse_config(make({"mesh": {"M": 2.5}}))
+            parse_config(with_mesh({"M": 2.5}))
 
     def test_r_below_one_rejected(self):
         with pytest.raises(ConfigError, match="mesh.r"):
-            parse_config(make({"mesh": {"M": 4, "r": 0.5}}))
+            parse_config(with_mesh({"M": 4, "r": 0.5}))
 
     def test_nodes_too_short(self):
         with pytest.raises(ConfigError, match="mesh.nodes"):
-            parse_config(make({"mesh": {"nodes": [0.0]}}))
+            parse_config(with_mesh({"nodes": [0.0]}))
 
 
 class TestKeyValidation:
@@ -71,6 +77,13 @@ class TestKeyValidation:
     def test_mesh_required(self):
         with pytest.raises(ConfigError, match="mesh"):
             parse_config(make({"grid": {"d": 1, "N": 4}}))
+
+    @pytest.mark.parametrize("key", ["grid", "problem"])
+    def test_grid_and_problem_required(self, key):
+        # there is no grid-less (scalar) config: the scalar command takes flags
+        doc = {k: v for k, v in BASE_PDE.items() if k != key}
+        with pytest.raises(ConfigError, match=rf"<root>: missing key\(s\) \['{key}'\]"):
+            parse_config(make(doc))
 
     def test_unknown_problem_key(self):
         doc = json.loads(make(BASE_PDE))
@@ -137,23 +150,40 @@ class TestProblemSection:
         with pytest.raises(ConfigError, match="problem.u0"):
             parse_config(make(doc))
 
-    def test_scalar_problem(self):
-        doc = {
-            "mesh": {"M": 8},
-            "problem": {"alpha": 0.5, "f": {"kind": "allen_cahn"}, "u0": 0.4},
-        }
-        cfg = parse_config(make(doc))
-        assert cfg.grid is None and cfg.problem is None
-        assert cfg.u0_scalar == 0.4
-        assert cfg.f is not None
 
-    def test_scalar_u0_expression(self):
-        doc = {
-            "mesh": {"M": 8},
-            "problem": {"alpha": 0.5, "f": {"kind": "zero"}, "u0": "pi/4"},
-        }
-        cfg = parse_config(make(doc))
-        assert cfg.u0_scalar == pytest.approx(math.pi / 4)
+# (problem entry, bad value, the path the error names)
+BAD_PROBLEMS = [
+    ("f", {"kind": "linear", "F": "1 + x"}, "problem.f.F"),
+    ("f", {"kind": "linear", "cstar": [1]}, "problem.f.cstar"),
+    ("f", {"kind": "allen_cahn", "alpha": 1.5}, "problem.f.alpha"),
+    ("f", {"kind": "fisher", "alpha": 0.3}, r"problem.f: unknown key\(s\) \['alpha'\]"),
+    ("f", {"kind": "zero", "cstar": 5}, r"problem.f: unknown key\(s\) \['cstar'\]"),
+    ("bc", {"x-": {"kind": "neumann"}, "x+": {"kind": "dirichlet"}}, "problem.bc.x-.kind"),
+    ("bc", {"x-": {"kind": "periodic"}, "x+": {"kind": "dirichlet"}}, "problem.bc: periodic"),
+    ("bc", {"x-": {"kind": "dirichlet"}, "x+": {"kind": "dirichlet", "value": [1]}},
+     r"problem.bc.x\+.value"),
+]
+BAD_IDS = ["linear-F-expr", "linear-cstar-list", "allen-cahn-alpha", "fisher-alpha",
+           "zero-cstar", "neumann-face", "unpaired-periodic", "list-face-value"]
+
+
+def bad_problem(entry, value) -> dict:
+    return {**BASE_PDE, "problem": {**BASE_PDE["problem"], entry: value}}
+
+
+class TestBadProblem:
+    @pytest.mark.parametrize("entry, value, path", BAD_PROBLEMS, ids=BAD_IDS)
+    def test_config_error_names_the_path(self, entry, value, path):
+        with pytest.raises(ConfigError, match=path):
+            parse_config(make(bad_problem(entry, value)))
+
+    @pytest.mark.parametrize("entry, value, path", BAD_PROBLEMS, ids=BAD_IDS)
+    def test_pde_command_exits_with_config_error(self, entry, value, path, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(make(bad_problem(entry, value)))
+        assert main(["pde", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert re.match(f"config error: {path}", err) and "Traceback" not in err
 
 
 class TestCoefficients:
