@@ -1,6 +1,7 @@
 """Gamma and Mittag-Leffler evaluation for real arguments.
 
-The Mittag-Leffler function E_alpha(s) = sum_k s^k / Gamma(k*alpha + 1)
+Gamma is the standard library's ``math.gamma``; its reciprocal is
+``scipy.special.rgamma``, which is zero at the poles.  The Mittag-Leffler function E_alpha(s) = sum_k s^k / Gamma(k*alpha + 1)
 is evaluated by its power series for moderate |s| and by the standard
 asymptotic expansion for large positive s.  The power series suffers
 catastrophic cancellation for strongly negative s combined with small
@@ -20,54 +21,22 @@ import math
 import warnings
 
 from scipy.integrate import quad
+from scipy.special import rgamma as _rgamma
 
 __all__ = ["gamma", "rgamma", "mittag_leffler"]
 
-# Lanczos approximation, g = 7, 9 coefficients (~1e-15 relative accuracy).
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def _lanczos_gamma(x: float) -> float:
-    # valid for x >= 0.5
-    z = x - 1.0
-    a = _LANCZOS_COEF[0]
-    for i in range(1, len(_LANCZOS_COEF)):
-        a += _LANCZOS_COEF[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * a
-
 
 def gamma(x: float) -> float:
-    """Gamma function for positive real x."""
+    """Gamma function for positive real x (``math.gamma``)."""
     x = float(x)
     if not x > 0.0:
         raise ValueError(f"gamma requires x > 0, got {x}")
-    if x >= 0.5:
-        return _lanczos_gamma(x)
-    # reflection: Gamma(x) = pi / (sin(pi x) * Gamma(1 - x))
-    return math.pi / (math.sin(math.pi * x) * _lanczos_gamma(1.0 - x))
+    return math.gamma(x)
 
 
 def rgamma(x: float) -> float:
     """Reciprocal Gamma function for any real x (zero at the poles)."""
-    x = float(x)
-    if x > 0.0:
-        return 1.0 / gamma(x)
-    if x == math.floor(x):
-        return 0.0  # pole of Gamma at 0, -1, -2, ...
-    # 1/Gamma(x) = Gamma(1-x) * sin(pi x) / pi
-    return gamma(1.0 - x) * math.sin(math.pi * x) / math.pi
+    return float(_rgamma(x))
 
 
 _SERIES_RADIUS = 12.0  # |s| beyond which the power series is not used

@@ -18,7 +18,7 @@ from fraxolve.special import (
 class TestGamma:
     def test_against_stdlib(self):
         for x in np.linspace(0.05, 20.0, 157):
-            assert gamma(x) == pytest.approx(math.gamma(x), rel=1e-13)
+            assert gamma(x) == math.gamma(x)
 
     def test_half_integer_values(self):
         assert gamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
