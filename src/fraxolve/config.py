@@ -1,12 +1,9 @@
 """JSON configuration ingestion for the command-line front end.
 
-A run configuration describes one space-time solve: a temporal ``mesh``
-(graded ``M, T, r`` or explicit ``nodes``), a spatial ``grid`` (``d, N,
-X``), the ``problem`` (``alpha``, reaction ``f``, ``u0``, coefficients
-and boundary faces) and optional ``solver`` settings.  Unknown keys and
-invalid values raise :class:`ConfigError` with their path; expressions for
-u0, coefficients and boundary values use the grammar in
-:mod:`fraxolve.expressions`.
+A config holds one solve: ``mesh`` (``M, T, r`` or ``nodes``), ``grid``
+(``d, N, X``), ``problem`` (``alpha, f, u0, coefficients, bc``) and an
+optional ``solver``.  Unknown keys and bad values raise ConfigError with
+their path; expressions use the grammar in :mod:`fraxolve.expressions`.
 """
 
 from __future__ import annotations
@@ -149,7 +146,7 @@ def _parse_f(obj, path):
     if kind == "linear":
         cstar = _number(obj.get("cstar", 0.0), f"{path}.cstar")
         return builtin("linear", cstar=cstar, F=_number(obj.get("F", 0.0), f"{path}.F"))
-    return builtin("linear", cstar=0.0, F=0.0)
+    return builtin("linear", cstar=0.0, F=0.0)  # "zero"
 
 
 def _parse_bc(obj, path, d):

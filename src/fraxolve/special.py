@@ -1,7 +1,9 @@
 """Gamma and Mittag-Leffler evaluation for real arguments.
 
 Gamma is the standard library's ``math.gamma``; its reciprocal is
-``scipy.special.rgamma``, which is zero at the poles.  The Mittag-Leffler function E_alpha(s) = sum_k s^k / Gamma(k*alpha + 1)
+``scipy.special.rgamma``, which is zero at the poles.
+
+The Mittag-Leffler function E_alpha(s) = sum_k s^k / Gamma(k*alpha + 1)
 is evaluated by its power series for moderate |s| and by the standard
 asymptotic expansion for large positive s.  The power series suffers
 catastrophic cancellation for strongly negative s combined with small
@@ -52,18 +54,16 @@ def _series_peak_log(alpha: float, s_abs: float) -> float:
     return k * math.log(s_abs) - math.lgamma(k * alpha + 1.0)
 
 
-def _ml_series_float(alpha: float, s: float) -> tuple[float, float]:
-    """Plain float64 series; returns (sum, max |term|)."""
+def _ml_series_float(alpha: float, s: float) -> float:
+    """Plain float64 (Kahan-compensated) power series."""
     total = 1.0
     comp = 0.0  # Kahan compensation
-    max_term = 1.0
     log_s = math.log(abs(s))
     k = 1
     while k < 100_000:
         # term = s^k / Gamma(k alpha + 1), magnitude via lgamma to avoid overflow
         sign = 1.0 if (s > 0 or k % 2 == 0) else -1.0
         t = sign * math.exp(k * log_s - math.lgamma(k * alpha + 1.0))
-        max_term = max(max_term, abs(t))
         y = t - comp
         new = total + y
         comp = (new - total) - y
@@ -71,7 +71,7 @@ def _ml_series_float(alpha: float, s: float) -> tuple[float, float]:
         if abs(t) < _SERIES_TOL * max(1.0, abs(total)) and k * alpha > 1.0:
             break
         k += 1
-    return total, max_term
+    return total
 
 
 def _ml_negative_quad(alpha: float, s: float) -> float:
@@ -134,8 +134,8 @@ def mittag_leffler(alpha: float, s: float) -> float:
         # alternating series: a peak term of e^7 already costs ~3 digits,
         # so hand anything worse to the well-conditioned quadrature
         if abs(s) <= _SERIES_RADIUS and peak <= 7.0:
-            return _ml_series_float(alpha, s)[0]
+            return _ml_series_float(alpha, s)
         return _ml_negative_quad(alpha, s)
     if s <= _SERIES_RADIUS and peak <= 600.0:
-        return _ml_series_float(alpha, s)[0]
+        return _ml_series_float(alpha, s)
     return _ml_asymptotic(alpha, s)
