@@ -39,6 +39,7 @@ from .spatial import (
     BoundarySpec,
     CoefficientField,
     Grid,
+    MaxPrincipleError,
     assemble,
     check_max_principle,
 )
@@ -63,7 +64,7 @@ __all__ = [
     "NonconvergenceError", "ScalarTrajectory", "SolverConfig",
     "StepRestrictionWarning", "error_envelope", "range_check", "solve_scalar",
     "BoundaryCondition", "BoundarySpec", "CoefficientField", "Grid",
-    "assemble", "check_max_principle",
+    "MaxPrincipleError", "assemble", "check_max_principle",
     "gamma", "mittag_leffler", "rgamma",
     "build_barrier", "envelope_ratio", "envelope_values", "long_time_check",
     "solve_resolvent",

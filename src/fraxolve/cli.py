@@ -19,6 +19,8 @@ from .mesh import FracParams, build_graded, check_step_restriction, verify_quasi
 from .nonlinearity import builtin
 from .pde import range_check_pde, solve_pde
 from .scalar import NonconvergenceError, SolverConfig, range_check, solve_scalar
+from .spatial import (BoundarySpec, CoefficientField, Grid, MaxPrincipleError, assemble,
+                      check_max_principle)
 from .special import mittag_leffler
 from .stability import envelope_ratio, solve_resolvent
 
@@ -237,6 +239,14 @@ def _cmd_check(args) -> int:
     V2 = solve_resolvent(small, 0.5, 1.0, g2)
     report("resolvent comparison principle", bool(np.all(V1 <= V2 + 1e-13)))
     report("Mittag-Leffler E_1(1) = e", abs(mittag_leffler(1.0, 1.0) - math.e) < 1e-12)
+    cf = CoefficientField(a=(lambda p, t: 1 + 0.5 * np.sin(p[:, 0]), 1.0), b=(0.5, 0.3),
+                          c=lambda p, t: p[:, 0])
+    try:
+        check_max_principle(assemble(Grid(2, 32, math.pi), cf, 0.0, BoundarySpec.dirichlet0(2)), 0)
+        m_matrix = True
+    except MaxPrincipleError:
+        m_matrix = False
+    report("M-matrix sign pattern of a variable-coefficient L_h", m_matrix)
     return EXIT_OK if ok else EXIT_SOLVER
 
 

@@ -98,10 +98,13 @@ class RunConfig:
 def _parse_mesh(obj, path):
     if "nodes" in obj:
         _require_keys(obj, path, ("nodes",))
-        nodes = obj["nodes"]
-        if not isinstance(nodes, list) or len(nodes) < 2:
-            raise ConfigError(f"{path}.nodes", "expected a list of at least two numbers")
-        return TemporalMesh(np.asarray(nodes, dtype=float))
+        if not isinstance(obj["nodes"], list):
+            raise ConfigError(f"{path}.nodes", "expected a list of numbers")
+        nodes = [_number(v, f"{path}.nodes[{i}]") for i, v in enumerate(obj["nodes"])]
+        try:
+            return TemporalMesh(np.array(nodes))
+        except ValueError as e:  # fewer than two nodes, t_0 != 0 or not increasing
+            raise ConfigError(f"{path}.nodes", str(e)) from None
     _require_keys(obj, path, ("M",), ("T", "r"))
     M = _number(obj["M"], f"{path}.M", minimum=1, integer=True)
     T = _number(obj.get("T", 1.0), f"{path}.T", strict_min=0.0)
@@ -160,17 +163,16 @@ def _parse_bc(obj, path, d):
             return BoundarySpec.all_periodic(d)
         raise ConfigError(f"{path}.all", f"unknown boundary shorthand {kind!r}")
     faces = {}
-    _require_keys(obj, path, (), names)
+    _require_keys(obj, path, names)
     for name in names:
-        if name not in obj:
-            raise ConfigError(path, f"missing face {name!r}")
         spec = obj[name]
         _require_keys(spec, f"{path}.{name}", ("kind",), ("value",))
         value = spec.get("value", 0.0)
         if isinstance(value, str):
             value = _space_fn(_expression(value, f"{path}.{name}.value"))
-        else:
-            value = _number(value, f"{path}.{name}.value")
+        else:  # a negative Robin mu breaks the maximum principle
+            value = _number(value, f"{path}.{name}.value",
+                            minimum=0.0 if spec["kind"] == "robin" else None)
         try:
             faces[name] = BoundaryCondition(spec["kind"], value)
         except ValueError as e:  # an unknown kind

@@ -3,9 +3,9 @@
     kappa_{m,m} U^m + L_h U^m + f(z, t_m, U^m) = F^m
 
 with damped Newton, an M-matrix Jacobian under the step restriction, and
-range preservation for invariant-range reactions.  Each assembled L_h gets
-one solver object whose ``solve(shift, rhs, m, tol)`` makes the whole
-linear-solve choice for (L_h + diag(shift)) x = rhs:
+range preservation for invariant-range reactions.  Each assembled L_h passes
+``spatial.check_max_principle`` (an M-matrix) and gets one solver object whose
+``solve(shift, rhs, m, tol)`` makes the whole linear-solve choice for (L_h + diag(shift)) x = rhs:
 
 * 1D (``_ShiftedBand``): one banded LU (LAPACK ``dgbsv``) per solve;
   renumbering the unknowns 0, n-1, 1, n-2, ... makes every 1D L_h,
@@ -20,7 +20,7 @@ residual is below a tenth of the Newton tolerance, not at full accuracy.
 The band, and the CSC matrix that CG and SuperLU share, are built once per
 assembled operator; a solve only rewrites the diagonal (of a copy of the
 band, which LAPACK factors in place).  A ``t``-dependent L_h is assembled
-once per level, at t_m.
+and checked once per level, at t_m; a constant one once, at t_1.
 """
 
 from __future__ import annotations
@@ -276,16 +276,9 @@ def solve_pde(
     """March the L1 scheme over ``mesh``; ``fields`` is the only history store."""
     cfg = cfg or SolverConfig()
     alpha = problem.alpha
-    mp = check_max_principle(grid, problem.coeffs, t_samples=tuple(mesh.nodes[:: max(1, mesh.M // 8)]))
-    if not mp.passed:
-        raise ValueError(
-            f"discrete maximum principle violated: need h <= {mp.required_h:.4g}, "
-            f"have h = {mp.h:.4g}"
-        )
     periodic = any(problem.bc.axis_periodic(k) for k in range(grid.d))  # needs the strict form
     _gate_step_restriction(mesh, alpha, problem.f.lam, cfg.strict_restriction or periodic)
 
-    op = assemble(grid, problem.coeffs, float(mesh.nodes[1]), problem.bc)
     # a 1D L_h is (cyclic) tridiagonal: one banded LU per solve costs less than
     # the set-up of SuperLU and the per-call overhead of the transforms and of CG
     if grid.d == 1:
@@ -293,8 +286,6 @@ def solve_pde(
     else:
         fast = fast_inverse(grid, problem.coeffs, problem.bc)
         solver_of = functools.partial(_ShiftedMatrix.of, fast=fast)
-    solver = solver_of(op.matrix)
-    pts_unknown = grid.points()[op.unknown_flat]
 
     fields = np.empty((mesh.M + 1, grid.n_nodes))
     fields[0] = problem.initial_field(grid)
@@ -302,9 +293,11 @@ def solve_pde(
     out = SolutionHistory(mesh=mesh, grid=grid, fields=fields)
     for m, kmm, F in march(mesh, alpha, fields):
         t_m = float(mesh.nodes[m])
-        if problem.coeffs.time_dependent and m > 1:  # the operator at t_1 is built above
+        if m == 1 or problem.coeffs.time_dependent:
             op = assemble(grid, problem.coeffs, t_m, problem.bc)
+            check_max_principle(op, m)
             solver = solver_of(op.matrix)
+            pts_unknown = grid.points()[op.unknown_flat]
         # F sums whole rows; keep the unknowns (a column-indexed slice would copy m rows)
         Fm = F[op.unknown_flat]
         g_dir = op.data_vector(t_m)

@@ -4,7 +4,7 @@
 
 on (0, X)^d, d in {1, 2}: second differences with midpoint-sampled a_k,
 centered first differences for b_k, Dirichlet/periodic/Robin faces.
-Under the mesh-Peclet condition the assembled matrix is an M-matrix.
+``pde.solve_pde`` checks each L_h it assembles for the M-matrix pattern (``check_max_principle``).
 Constant-coefficient operators without convection on Dirichlet/periodic
 axes are also diagonalized by sine/Fourier transforms (``fast_inverse``).
 """
@@ -28,8 +28,7 @@ __all__ = [
     "FastInverse",
     "fast_inverse",
     "check_max_principle",
-    "m_matrix_report",
-    "MaxPrincipleReport",
+    "MaxPrincipleError",
 ]
 
 _FACE_NAMES = {1: ("x-", "x+"), 2: ("x-", "x+", "y-", "y+")}
@@ -70,16 +69,15 @@ class Grid:
         return np.stack([m.ravel() for m in mesh], axis=1)
 
     def multi_indices(self) -> np.ndarray:
-        idx = np.indices(self.shape).reshape(self.d, -1).T
-        return idx
+        return np.indices(self.shape).reshape(self.d, -1).T
 
 
 @dataclass(frozen=True)
 class CoefficientField:
     """Coefficients of L; entries are floats or callables (points, t) -> array.
 
-    ``a`` must be positive; ``c`` nonnegative (and identically zero when the
-    invariant-range guarantee is claimed).
+    ``a`` must be positive, h |b| <= 2 a and ``c`` nonnegative (identically zero
+    when the invariant-range guarantee is claimed): see ``check_max_principle``.
     """
 
     a: tuple
@@ -109,7 +107,7 @@ def _eval_coef(coef, pts: np.ndarray, t: float) -> np.ndarray:
 @dataclass(frozen=True)
 class BoundaryCondition:
     kind: str  # 'dirichlet' | 'periodic' | 'robin'
-    value: object = None  # phi(x,t) for dirichlet, mu(x,t) >= 0 for robin
+    value: object = None  # phi(x,t) for dirichlet, mu(x,t) >= 0 for robin (see check_max_principle)
 
     def __post_init__(self):
         if self.kind not in ("dirichlet", "periodic", "robin"):
@@ -417,43 +415,38 @@ def fast_inverse(grid: Grid, coeffs: CoefficientField, bc: BoundarySpec) -> Fast
     return FastInverse(eig, tuple(dirichlet_axes), tuple(periodic_axes))
 
 
-@dataclass(frozen=True)
-class MaxPrincipleReport:
-    passed: bool
-    required_h: float
-    h: float
 
 
-def check_max_principle(
-    grid: Grid, coeffs: CoefficientField, t_samples=(0.0, 0.5, 1.0)
-) -> MaxPrincipleReport:
-    """Mesh-Peclet condition 1/h >= max_k (1/2) sup|b_k| sup(1/a_k)."""
-    coeffs.validate(grid.d)
-    pts = grid.points()
-    bound = 0.0
-    for t in t_samples:
-        for axis in range(grid.d):
-            a = _eval_coef(coeffs.a[axis], pts, t)
-            if np.any(a <= 0):
-                raise ValueError("diffusion coefficient must be positive")
-            b = (
-                _eval_coef(coeffs.b[axis], pts, t)
-                if coeffs.b is not None
-                else np.zeros(1)
-            )
-            bound = max(bound, 0.5 * float(np.max(np.abs(b))) * float(np.max(1.0 / a)))
-    required_h = np.inf if bound == 0.0 else 1.0 / bound
-    return MaxPrincipleReport(passed=1.0 / grid.h >= bound, required_h=required_h, h=grid.h)
+class MaxPrincipleError(ValueError):
+    """L_h at one level is not an M-matrix; names the grid node and the worst entry."""
+
+    def __init__(self, level: int, node: tuple[int, ...], msg: str):
+        super().__init__(f"discrete maximum principle violated at level {level}, node {node}: {msg}")
+        self.level, self.node = level, node
 
 
-def m_matrix_report(A: sp.spmatrix) -> dict:
-    """Sign-pattern check: positive diagonal, nonpositive off-diagonal."""
-    coo = A.tocoo()
-    off = coo.row != coo.col
-    dg = A.diagonal()
-    return {
-        "diag_positive": bool(np.all(dg > 0)),
-        "offdiag_nonpositive": bool(np.all(coo.data[off] <= 1e-14)),
-        "max_offdiag": float(coo.data[off].max()) if off.any() else 0.0,
-        "min_diag": float(dg.min()),
-    }
+_ROW_SUM_SLACK = 16 * np.finfo(float).eps  # rounding of <= 5 entries <= diag; valid rows: -3.3e-16
+
+
+def check_max_principle(op: DiscreteOperator, level: int) -> None:
+    """Raise MaxPrincipleError unless L_h is a weakly diagonally dominant M-matrix.
+
+    Exact, O(nnz), on L = [matrix | dirichlet_coupling]: diagonal > 0, off-diagonals
+    <= 0, row sums >= -_ROW_SUM_SLACK * diagonal (Varga, Matrix Iterative Analysis).
+    """
+    L = sp.hstack([op.matrix, op.dirichlet_coupling]).tocoo()
+    node = op.grid.multi_indices()[np.concatenate([op.unknown_flat, op.dirichlet_flat])]
+    diag = op.matrix.diagonal()
+    off = np.where(L.row != L.col, L.data, -np.inf)
+    k, j = int(np.argmin(diag)), int(np.argmax(off))
+    if not diag[k] > 0:
+        msg = f"diagonal entry {diag[k]:.6g} <= 0"
+    elif not off[j] <= 0:
+        k, msg = L.row[j], f"entry {off[j]:.6g} > 0 at node {tuple(node[L.col[j]].tolist())}"
+    else:
+        ratio = (L @ np.ones(L.shape[1])) / diag
+        k = int(np.argmin(ratio))
+        if ratio[k] >= -_ROW_SUM_SLACK:
+            return
+        msg = f"row sum {ratio[k] * diag[k]:.6g} < 0 (diagonal {diag[k]:.6g})"
+    raise MaxPrincipleError(level, tuple(node[k].tolist()), msg)

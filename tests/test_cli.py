@@ -218,4 +218,4 @@ class TestCheck:
         assert main(["check"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "FAIL" not in out
-        assert out.count("PASS") == 6
+        assert out.count("PASS") == 7

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from fraxolve.cli import EXIT_CONFIG, main
+from fraxolve.cli import EXIT_CONFIG, EXIT_SOLVER, main
 from fraxolve.config import ConfigError, parse_config
 from fraxolve.mesh import build_graded
 from fraxolve.pde import solve_pde
@@ -61,6 +61,22 @@ class TestMeshSection:
     def test_nodes_too_short(self):
         with pytest.raises(ConfigError, match="mesh.nodes"):
             parse_config(with_mesh({"nodes": [0.0]}))
+
+    @pytest.mark.parametrize(
+        "nodes, err",
+        [
+            ([0.0, 0.5, 0.3, 1.0], "mesh.nodes: mesh nodes must be strictly increasing"),
+            ([0.5, 1.0], "mesh.nodes: mesh must start at t_0 = 0"),
+            (["a", "b"], r"mesh.nodes\[0\]: expected a number, got 'a'"),
+        ],
+        ids=["decreasing", "late-start", "strings"],
+    )
+    def test_bad_nodes_exit_with_config_error(self, nodes, err, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(with_mesh({"nodes": nodes}))
+        assert main(["pde", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+        stderr = capsys.readouterr().err
+        assert re.match(f"config error: {err}", stderr) and "Traceback" not in stderr
 
 
 class TestKeyValidation:
@@ -162,9 +178,12 @@ BAD_PROBLEMS = [
     ("bc", {"x-": {"kind": "periodic"}, "x+": {"kind": "dirichlet"}}, "problem.bc: periodic"),
     ("bc", {"x-": {"kind": "dirichlet"}, "x+": {"kind": "dirichlet", "value": [1]}},
      r"problem.bc.x\+.value"),
+    ("bc", {"x-": {"kind": "robin", "value": -50}, "x+": {"kind": "dirichlet"}},
+     r"problem.bc.x-.value: must be >= 0.0, got -50.0"),
 ]
 BAD_IDS = ["linear-F-expr", "linear-cstar-list", "allen-cahn-alpha", "fisher-alpha",
-           "zero-cstar", "neumann-face", "unpaired-periodic", "list-face-value"]
+           "zero-cstar", "neumann-face", "unpaired-periodic", "list-face-value",
+           "negative-robin"]
 
 
 def bad_problem(entry, value) -> dict:
@@ -184,6 +203,19 @@ class TestBadProblem:
         assert main(["pde", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert re.match(f"config error: {path}", err) and "Traceback" not in err
+
+
+def test_negative_robin_expression_fails_the_solve(tmp_path, capsys):
+    # mu = x - 50 is negative on the x- face: parse_config cannot tell, the
+    # maximum-principle check of the assembled L_h does
+    bc = {"x-": {"kind": "robin", "value": "x - 50"}, "x+": {"kind": "dirichlet"}}
+    doc = {**BASE_PDE, "problem": {**BASE_PDE["problem"], "f": {"kind": "zero"}, "bc": bc}}
+    cfg = tmp_path / "robin.json"
+    cfg.write_text(make(doc))
+    assert main(["pde", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert re.match(r"pde solve failed: discrete maximum principle violated at level 1, node \(0,\)", err)
+    assert not (tmp_path / "solution.csv").exists()
 
 
 class TestCoefficients:

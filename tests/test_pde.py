@@ -21,7 +21,9 @@ from fraxolve.spatial import (
     BoundarySpec,
     CoefficientField,
     Grid,
+    MaxPrincipleError,
     assemble,
+    check_max_principle,
     fast_inverse,
 )
 from fraxolve.special import mittag_leffler
@@ -165,6 +167,28 @@ class TestBasics:
         # required h = 2 a / |b| = 0.004; h = 0.125 violates it
         with pytest.raises(ValueError):
             solve_pde(problem, build_graded(4, 1.0, 1.0), Grid(1, 8, 1.0))
+
+    @pytest.mark.parametrize(
+        "coeffs, bc, level",
+        [
+            # a pulse in b between the sampled times t = 0, 1/8, ...: the mesh-Peclet
+            # number h |b| / (2 a) is 24 at t_4 = 1/16 (left alone, max U = 1.0027 > max u0)
+            (CoefficientField(a=(0.01,), b=(lambda p, t: 5.0 * np.exp(-(((t - 0.06) / 0.005) ** 2))
+                                            * np.ones(p.shape[0]),), time_dependent=True),
+             BoundarySpec.dirichlet0(1), 4),
+            # a Robin face with mu < 0, which no coefficient shows
+            (CoefficientField(a=(1.0,)),
+             BoundarySpec({"x-": BoundaryCondition("robin", -50.0),
+                           "x+": BoundaryCondition("dirichlet", 0.0)}, 1), 1),
+        ],
+        ids=["t-dependent-convection", "negative-robin"],
+    )
+    def test_every_assembled_operator_is_checked(self, coeffs, bc, level):
+        problem = Problem(coeffs=coeffs, bc=bc, f=builtin("linear", cstar=0.0),
+                          u0=lambda pts: np.sin(math.pi * pts[:, 0]), alpha=0.5)
+        with pytest.raises(MaxPrincipleError) as exc:
+            solve_pde(problem, build_graded(64, 1.0, 1.0), Grid(1, 8, 1.0))
+        assert exc.value.level == level
 
     def test_periodic_requires_strict_restriction(self):
         # periodic faces enforce the strict step restriction: violation raises
@@ -493,6 +517,12 @@ class TestLUPattern:
             else:
                 assert np.array_equal(x, _fresh_lu(A, shift, rhs))
 
+    @pytest.mark.parametrize("case", LU_OPERATORS)
+    def test_passes_the_max_principle_check(self, case):
+        # valid operators whose row sums round below zero (1d-periodic to
+        # -2.0e-16 diag, 2d-variable-a to -1.5e-16 diag) must pass
+        check_max_principle(LU_OPERATORS[case](), 1)
+
     def test_reassembled_operator_matches_fresh_lu_every_step(self, monkeypatch):
         # a t-dependent coefficient reassembles L_h every level; each level
         # must factor its own operator, not the band of an earlier one:
@@ -510,8 +540,8 @@ class TestLUPattern:
 
     @pytest.mark.parametrize("t_dependent", [True, False])
     def test_operator_assembled_once_per_level(self, monkeypatch, t_dependent):
-        # a t-dependent L_h is assembled once per level (the one at t_1 before
-        # the loop serves m = 1); a constant one once per solve
+        # a t-dependent L_h is assembled once per level; a constant one once
+        # per solve, at t_1
         rc = _fisher_1d_config(10)
         if not t_dependent:
             rc = dataclasses.replace(

@@ -8,10 +8,10 @@ from fraxolve.spatial import (
     BoundarySpec,
     CoefficientField,
     Grid,
+    MaxPrincipleError,
     assemble,
     check_max_principle,
     fast_inverse,
-    m_matrix_report,
 )
 
 
@@ -164,9 +164,7 @@ class TestAssemble2D:
             c=lambda p, t: 0.1 * p[:, 0],
         )
         op = assemble(grid, cf, 0.0, BoundarySpec.dirichlet0(2))
-        rep = m_matrix_report(op.matrix)
-        assert rep["diag_positive"]
-        assert rep["offdiag_nonpositive"]
+        check_max_principle(op, 1)
 
     def test_symmetry_pure_constant_diffusion(self):
         grid = Grid(2, 12, 1.0)
@@ -206,25 +204,60 @@ class TestAssemble2D:
         )
 
 
+def _dirichlet_robin(mu):
+    return BoundarySpec(
+        {"x-": BoundaryCondition("robin", mu), "x+": BoundaryCondition("dirichlet", 0.0)}, 1
+    )
+
+
 class TestMaxPrinciple:
     def test_pure_diffusion_always_passes(self):
-        rep = check_max_principle(Grid(1, 4, 1.0), CoefficientField(a=(1.0,)))
-        assert rep.passed
-        assert rep.required_h == math.inf
+        for N in (2, 4, 64):
+            op = assemble(Grid(1, N, 1.0), CoefficientField(a=(1.0,)), 0.0, BoundarySpec.dirichlet0(1))
+            check_max_principle(op, 1)
 
     def test_convection_threshold(self):
-        # |b| = 4, a = 1: need h <= 1/2
+        # |b| = 4, a = 1: the mesh-Peclet number h |b| / (2 a) must be <= 1, h <= 1/2
         cf = CoefficientField(a=(1.0,), b=(4.0,))
-        ok = check_max_principle(Grid(1, 4, 1.0), cf)  # h = 0.25
-        bad = check_max_principle(Grid(1, 2, 2.0), cf)  # h = 1.0
-        assert ok.passed
-        assert not bad.passed
-        assert bad.required_h == pytest.approx(0.5)
+        ok = assemble(Grid(1, 4, 1.0), cf, 0.0, BoundarySpec.dirichlet0(1))  # h = 0.25
+        check_max_principle(ok, 1)
+        # h = 1: the one unknown couples to the Dirichlet node 2 by -a/h^2 + b/(2h) = 1
+        bad = assemble(Grid(1, 2, 2.0), cf, 0.0, BoundarySpec.dirichlet0(1))
+        with pytest.raises(MaxPrincipleError, match=r"level 3, node \(1,\): entry 1 > 0 at node \(2,\)") as exc:
+            check_max_principle(bad, 3)
+        assert (exc.value.level, exc.value.node) == (3, (1,))
 
     def test_nonpositive_diffusion_rejected(self):
+        # a = x - 0.5 at the midpoints 0.125, 0.375: diagonal (a_- + a_+) / h^2 = -8 at node 1
         cf = CoefficientField(a=(lambda p, t: p[:, 0] - 0.5,))
-        with pytest.raises(ValueError):
-            check_max_principle(Grid(1, 4, 1.0), cf)
+        op = assemble(Grid(1, 4, 1.0), cf, 0.0, BoundarySpec.dirichlet0(1))
+        with pytest.raises(MaxPrincipleError, match=r"node \(1,\): diagonal entry -8 <= 0"):
+            check_max_principle(op, 1)
+
+    @pytest.mark.parametrize(
+        "grid, coeffs, bc, node, entry",
+        [
+            # h = 1: -a/h^2 + b/(2h) = 1 couples unknown node 1 to unknown node 2
+            (Grid(1, 4, 4.0), CoefficientField(a=(1.0,), b=(4.0,)), BoundarySpec.dirichlet0(1),
+             (1,), r"entry 1 > 0 at node \(2,\)"),
+            (Grid(1, 4, 1.0), CoefficientField(a=(1.0,), c=-1.0), BoundarySpec.dirichlet0(1),
+             (1,), r"row sum -1 < 0"),
+            # mu = -0.5, h = 1/8: diagonal 2/h^2 + 2 mu/h = 120, off-diagonal -2/h^2 = -128
+            (Grid(1, 8, 1.0), CoefficientField(a=(1.0,)), _dirichlet_robin(-0.5),
+             (0,), r"row sum -8 < 0 \(diagonal 120\)"),
+            # mu = -50: diagonal 2/h^2 + 2 mu/h = -672
+            (Grid(1, 8, 1.0), CoefficientField(a=(1.0,)), _dirichlet_robin(-50.0),
+             (0,), r"diagonal entry -672 <= 0"),
+            (Grid(2, 8, 1.0), CoefficientField(a=(1.0, 1.0), c=lambda p, t: p[:, 1] - 0.5),
+             BoundarySpec.dirichlet0(2), (1, 1), r"row sum -0.375 < 0"),
+        ],
+        ids=["convection-matrix", "negative-c", "negative-robin", "large-negative-robin", "2d-negative-c"],
+    )
+    def test_violation_names_level_node_and_entry(self, grid, coeffs, bc, node, entry):
+        with pytest.raises(MaxPrincipleError, match=entry) as exc:
+            check_max_principle(assemble(grid, coeffs, 0.0, bc), 5)
+        assert (exc.value.level, exc.value.node) == (5, node)
+        assert isinstance(exc.value, ValueError)
 
 
 class TestBoundarySpec:
