@@ -126,7 +126,8 @@ def _cmd_pde(args) -> int:
         "command": "pde", "version": __version__, "config_hash": _config_hash(text),
         "restriction": {"pass": restr.passed, "lhs": restr.lhs, "rhs": restr.rhs},
         "range_ok": rng_ok, "seconds": time.perf_counter() - t0,
-        "newton_iters_max": max(sol.newton_iters), "artifacts": [str(csv_path)],
+        "newton_iters_max": max(sol.newton_iters), "newton_iters_total": sum(sol.newton_iters),
+        "lin_iters_total": sum(sol.lin_iters), "artifacts": [str(csv_path)],
     })
     print(f"wrote {csv_path}")
     return EXIT_OK

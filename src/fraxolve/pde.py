@@ -3,9 +3,21 @@
     kappa_{m,m} U^m + L_h U^m + f(z, t_m, U^m) = F^m
 
 with damped Newton, an M-matrix Jacobian under the step restriction, and
-range preservation for invariant-range reactions.  Each assembled L_h passes
-``spatial.check_max_principle`` (an M-matrix) and gets one solver object whose
-``solve(shift, rhs, m, tol)`` makes the whole linear-solve choice for (L_h + diag(shift)) x = rhs:
+range preservation for invariant-range reactions.  Level 1 starts Newton
+from U^0; level m >= 2 from the step-ratio extrapolation
+
+    U^{m-1} + (tau_m / tau_{m-1}) (U^{m-1} - U^{m-2}),
+
+the standard starting value of implicit integrators (Hairer-Wanner, Solving
+ODEs II, IV.8): away from t = 0 the solution is smooth in t, so one Newton
+step usually suffices where U^{m-1} needs two.  Near t = 0 a graded mesh has
+tau_m / tau_{m-1} up to 2^r - 1 and the extrapolation overshoots, so it is
+clipped to the reaction's invariant range when there is one, where the
+solution lies and a truncated reaction has its derivative.
+
+Each assembled L_h passes ``spatial.check_max_principle`` (an M-matrix)
+and gets one solver object whose ``solve(shift, rhs, m, tol)`` makes the
+whole linear-solve choice for (L_h + diag(shift)) x = rhs:
 
 * 1D (``_ShiftedBand``): one banded LU (LAPACK ``dgbsv``) per solve;
   renumbering the unknowns 0, n-1, 1, n-2, ... makes every 1D L_h,
@@ -20,7 +32,9 @@ residual is below a tenth of the Newton tolerance, not at full accuracy.
 The band, and the CSC matrix that CG and SuperLU share, are built once per
 assembled operator; a solve only rewrites the diagonal (of a copy of the
 band, which LAPACK factors in place).  A ``t``-dependent L_h is assembled
-and checked once per level, at t_m; a constant one once, at t_1.
+and checked once per level, at t_m; a constant one once, at t_1.  The
+Dirichlet data is evaluated once per level, for the data vector and the
+scatter.
 """
 
 from __future__ import annotations
@@ -223,6 +237,15 @@ def _newton_level(
     m: int,
     solver: _ShiftedMatrix | _ShiftedBand,
 ):
+    """U^m by damped Newton on the level's residual, from ``u_start``.
+
+    ``u_start`` is U^0 at level 1 and, after it, the step-ratio
+    extrapolation clipped to ``f.range``: the clip undoes the overshoot of
+    the strongly graded first steps (module docstring).  Returns U^m, the
+    Newton steps, the final residual inf-norm (<= the tolerance
+    ``cfg.nonlin_tol * max(1, max|Fm|)``), the linear iterations and the
+    Picard steps.
+    """
     A = op.matrix
 
     def residual(u):
@@ -289,6 +312,8 @@ def solve_pde(
 
     fields = np.empty((mesh.M + 1, grid.n_nodes))
     fields[0] = problem.initial_field(grid)
+    tau = mesh.steps  # tau[m - 1] = t_m - t_{m-1}; the property recomputes it per access
+    s_range = problem.f.range
 
     out = SolutionHistory(mesh=mesh, grid=grid, fields=fields)
     for m, kmm, F in march(mesh, alpha, fields):
@@ -297,15 +322,20 @@ def solve_pde(
             op = assemble(grid, problem.coeffs, t_m, problem.bc)
             check_max_principle(op, m)
             solver = solver_of(op.matrix)
-            pts_unknown = grid.points()[op.unknown_flat]
+        unk = op.unknown_flat
         # F sums whole rows; keep the unknowns (a column-indexed slice would copy m rows)
-        Fm = F[op.unknown_flat]
-        g_dir = op.data_vector(t_m)
+        Fm = F[unk]
+        g = op.dirichlet_values(t_m)
+        u_start = fields[m - 1][unk]
+        if m >= 2:  # step-ratio extrapolation through U^{m-2}, U^{m-1}
+            u_start += (tau[m - 1] / tau[m - 2]) * (u_start - fields[m - 2][unk])
+            if s_range is not None:
+                np.clip(u_start, *s_range, out=u_start)
         u, iters, rnorm, lin_it, picard = _newton_level(
-            op, problem.f, t_m, kmm, Fm, g_dir, fields[m - 1][op.unknown_flat],
-            pts_unknown, cfg, m, solver,
+            op, problem.f, t_m, kmm, Fm, op.data_vector(g), u_start,
+            op.unknown_points, cfg, m, solver,
         )
-        fields[m] = op.scatter(u, t_m)
+        fields[m] = op.scatter(u, g)
         out.newton_iters.append(iters)
         out.residuals.append(rnorm)
         out.lin_iters.append(lin_it)

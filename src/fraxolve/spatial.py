@@ -166,19 +166,21 @@ class DiscreteOperator:
     dirichlet_flat: np.ndarray
     duplicate_flat: np.ndarray  # high-end nodes of periodic axes
     duplicate_partner: np.ndarray
-    _dirichlet_face: list = field(default_factory=list, repr=False)
+    unknown_points: np.ndarray  # (n_unknown, d) node coordinates
+    dirichlet_points: np.ndarray  # (n_dirichlet, d) node coordinates
+    _dirichlet_face: np.ndarray = field(repr=False)  # face index of each Dirichlet node
 
     @property
     def n_unknown(self) -> int:
         return self.unknown_flat.size
 
     def dirichlet_values(self, t: float | None = None) -> np.ndarray:
+        """The Dirichlet data at the Dirichlet nodes at time t (default: ``self.t``)."""
         t = self.t if t is None else t
         vals = np.zeros(self.dirichlet_flat.size)
         if not vals.size:
             return vals
-        pts = self.grid.points()[self.dirichlet_flat]
-        face_of = np.asarray(self._dirichlet_face)
+        pts, face_of = self.dirichlet_points, self._dirichlet_face
         for k in np.unique(face_of):
             phi = self.bc.faces[_FACE_NAMES[self.grid.d][k]].value
             sel = face_of == k
@@ -188,18 +190,21 @@ class DiscreteOperator:
                 vals[sel] = float(phi if phi is not None else 0.0)
         return vals
 
-    def data_vector(self, t: float | None = None) -> np.ndarray:
-        """Dirichlet-data contribution to the operator action at unknown nodes."""
+    def data_vector(self, values: np.ndarray | None = None) -> np.ndarray:
+        """Dirichlet-data contribution to the operator action at unknown nodes.
+
+        ``values`` are the Dirichlet node values (``dirichlet_values``), by default at ``self.t``.
+        """
         if self.dirichlet_flat.size == 0:
             return np.zeros(self.n_unknown)
-        return self.dirichlet_coupling @ self.dirichlet_values(t)
+        return self.dirichlet_coupling @ (self.dirichlet_values() if values is None else values)
 
-    def scatter(self, u: np.ndarray, t: float | None = None) -> np.ndarray:
-        """Unknown-node values -> full nodal field (Dirichlet data filled in)."""
+    def scatter(self, u: np.ndarray, values: np.ndarray | None = None) -> np.ndarray:
+        """Unknown-node values -> full nodal field, Dirichlet ``values`` as in ``data_vector``."""
         out = np.zeros(self.grid.n_nodes)
         out[self.unknown_flat] = u
         if self.dirichlet_flat.size:
-            out[self.dirichlet_flat] = self.dirichlet_values(t)
+            out[self.dirichlet_flat] = self.dirichlet_values() if values is None else values
         if self.duplicate_flat.size:
             out[self.duplicate_flat] = out[self.duplicate_partner]
         return out
@@ -343,7 +348,6 @@ def assemble(
         )
     else:
         B = sp.csr_matrix((n_unk, dirichlet_flat.size))
-    dir_faces = dirichlet_face[dirichlet_flat]
     return DiscreteOperator(
         grid=grid,
         bc=bc,
@@ -354,7 +358,9 @@ def assemble(
         dirichlet_flat=dirichlet_flat,
         duplicate_flat=duplicate_flat,
         duplicate_partner=duplicate_partner,
-        _dirichlet_face=dir_faces,
+        unknown_points=upts,
+        dirichlet_points=pts[dirichlet_flat],
+        _dirichlet_face=dirichlet_face[dirichlet_flat],
     )
 
 

@@ -94,6 +94,10 @@ class TestPDE:
         manifest = json.loads((tmp_path / "pde.manifest.json").read_text())
         assert manifest["range_ok"] is True
         assert manifest["newton_iters_max"] >= 1
+        cfg = parse_config(json.dumps(PDE_CONFIG))
+        sol = solve_pde(cfg.problem, cfg.mesh, cfg.grid, cfg.solver)
+        assert manifest["newton_iters_total"] == sum(sol.newton_iters) >= manifest["newton_iters_max"]
+        assert manifest["lin_iters_total"] == sum(sol.lin_iters) >= manifest["newton_iters_total"]
 
     # M = 8 keeps both runs inside the step restriction
     @pytest.mark.parametrize("doc", [{**PDE_CONFIG, "mesh": {"M": 8, "T": 1.0, "r": 2.0}}, PDE_CONFIG_2D],

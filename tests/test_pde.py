@@ -20,6 +20,7 @@ from fraxolve.spatial import (
     BoundaryCondition,
     BoundarySpec,
     CoefficientField,
+    DiscreteOperator,
     Grid,
     MaxPrincipleError,
     assemble,
@@ -601,3 +602,104 @@ class TestBandedLU:
         assert exc.value.level == 7
         if d == 2:
             assert isinstance(exc.value.__cause__, RuntimeError)
+
+
+def _level_residuals(sol, problem, cfg):
+    """Per level: the residual inf-norm recomputed from l1_weights and assemble, and its limit.
+
+    The limit is the Newton tolerance nonlin_tol * max(1, max|F^m|) plus a
+    rounding allowance for summing the same terms in another order.
+    """
+    mesh, grid = sol.mesh, sol.grid
+    pts = grid.points()
+    out = []
+    for m in range(1, mesh.M + 1):
+        t = float(mesh.nodes[m])
+        op = assemble(grid, problem.coeffs, t, problem.bc)
+        unk = op.unknown_flat
+        w = l1_weights(mesh, problem.alpha, m)
+        F = w.kappa[:m] @ sol.fields[:m, unk]
+        u = sol.fields[m, unk]
+        Lu = op.apply(sol.fields[m])[unk]
+        fu = np.asarray(problem.f.eval(pts[unk], t, u), dtype=float)
+        res = float(np.max(np.abs(w.diag * u + Lu + fu - F)))
+        scale = w.diag * np.max(np.abs(u)) + np.max(np.abs(Lu)) + np.max(np.abs(fu)) + np.max(np.abs(F))
+        out.append((res, cfg.nonlin_tol * max(1.0, float(np.max(np.abs(F)))) + 64 * np.finfo(float).eps * scale))
+    return out
+
+
+def _fisher_jump():
+    # Dirichlet data 1 and 0 against u0 = 1/2: the first levels move fast near the faces
+    bc = BoundarySpec({"x-": BoundaryCondition("dirichlet", 1.0),
+                       "x+": BoundaryCondition("dirichlet", 0.0)}, 1)
+    return Problem(coeffs=CoefficientField(a=(1.0,)), bc=bc, f=builtin("fisher"),
+                   u0=lambda pts: np.full(pts.shape[0], 0.5), alpha=0.5)
+
+
+class TestPredictedStart:
+    """Levels m >= 2 start Newton from the clipped step-ratio extrapolation."""
+
+    @pytest.mark.parametrize("case", ["fisher-1d-periodic", "allen-cahn-2d"])
+    def test_every_level_meets_its_tolerance(self, case):
+        if case == "fisher-1d-periodic":
+            rc = _fisher_1d_config(200, N=64, a="1 + 0.5*sin(x)")
+            problem, mesh, grid, cfg = rc.problem, rc.mesh, rc.grid, rc.solver
+        else:
+            problem, mesh, grid = allen_cahn_problem(0.5), build_graded(16, 1.0, 3.0), Grid(2, 16, math.pi)
+            cfg = SolverConfig()
+        sol = solve_pde(problem, mesh, grid, cfg)
+        for m, (res, limit) in enumerate(_level_residuals(sol, problem, cfg), start=1):
+            assert res <= limit, f"level {m}: residual {res:.3e} > {limit:.3e}"
+        tight = solve_pde(problem, mesh, grid, dataclasses.replace(cfg, nonlin_tol=1e-13))
+        np.testing.assert_allclose(sol.fields, tight.fields, rtol=0, atol=1e-9)
+
+    def test_about_one_newton_step_per_level(self):
+        # from U^{m-1} this run took 797 Newton steps, two per level but for three
+        M = 400
+        problem = Problem(coeffs=CoefficientField(a=(1.0,)), bc=BoundarySpec.dirichlet0(1),
+                          f=builtin("allen_cahn", alpha=0.5),
+                          u0=lambda pts: 0.9 * np.sin(pts[:, 0]), alpha=0.5)
+        sol = solve_pde(problem, build_graded(M, 1.0, 3.0), Grid(1, 64, math.pi))
+        assert sum(sol.newton_iters) <= 1.1 * M
+
+    def test_start_is_the_extrapolation_clipped_to_the_range(self, monkeypatch):
+        starts = []
+        newton_level = fraxolve.pde._newton_level
+
+        def spy(op, f, t, kmm, Fm, g_dir, u_start, *rest):
+            starts.append(u_start.copy())
+            return newton_level(op, f, t, kmm, Fm, g_dir, u_start, *rest)
+
+        monkeypatch.setattr(fraxolve.pde, "_newton_level", spy)
+        problem, mesh, grid = _fisher_jump(), build_graded(16, 1.0, 5.67), Grid(1, 64, 1.0)
+        sol = solve_pde(problem, mesh, grid)
+        U = sol.fields[:, assemble(grid, problem.coeffs, 0.0, problem.bc).unknown_flat]
+        tau = mesh.steps
+        pred = U[1:-1] + (tau[1:] / tau[:-1])[:, None] * (U[1:-1] - U[:-2])  # levels 2..M
+        assert pred[0].min() < -1.0 and pred[0].max() > 2.0  # unclipped, level 2 leaves [0, 1]
+        np.testing.assert_array_equal(starts[0], U[0])
+        np.testing.assert_array_equal(np.array(starts[1:]), np.clip(pred, 0.0, 1.0))
+        assert range_check_pde(sol, 0.0, 1.0)
+
+
+def test_node_coordinates_once_per_operator_dirichlet_data_once_per_level(monkeypatch):
+    # time-dependent Dirichlet data on a constant operator: the data vector and
+    # the scatter share one evaluation per level, and no level rebuilds Grid.points
+    calls = {"points": 0, "dirichlet_values": 0}
+
+    def counting(cls, name):
+        fn = getattr(cls, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, wrapped)
+
+    counting(Grid, "points")
+    counting(DiscreteOperator, "dirichlet_values")
+    M = 12
+    sol = solve_pde(_mixed_allen_cahn(), build_graded(M, 1.0, 2.0), Grid(2, 8, 2.0 * math.pi))
+    assert calls == {"points": 2, "dirichlet_values": M}  # initial_field and assemble
+    y_top = sol.fields[-1].reshape(sol.grid.shape)[:, -1]
+    np.testing.assert_array_equal(y_top, 0.5 * np.cos(np.linspace(0.0, 2.0 * math.pi, 9)))
