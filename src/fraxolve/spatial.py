@@ -104,6 +104,19 @@ def _eval_coef(coef, pts: np.ndarray, t: float) -> np.ndarray:
     return np.full(pts.shape[0], float(coef))
 
 
+def _half_step_coef(coef, pts: np.ndarray, shift: np.ndarray, t: float, outer: np.ndarray) -> np.ndarray:
+    """coef at pts + shift.  Rows flagged `outer` sit on a Robin face whose
+    half-point lies outside the domain; there the value is the in-domain
+    linear extrapolation 2 coef(z) - coef(z - shift), exact for a constant."""
+    if not outer.any():
+        return _eval_coef(coef, pts + shift, t)
+    out = np.empty(pts.shape[0])
+    out[~outer] = _eval_coef(coef, pts[~outer] + shift, t)
+    z = pts[outer]
+    out[outer] = 2.0 * _eval_coef(coef, z, t) - _eval_coef(coef, z - shift, t)
+    return out
+
+
 @dataclass(frozen=True)
 class BoundaryCondition:
     kind: str  # 'dirichlet' | 'periodic' | 'robin'
@@ -298,8 +311,13 @@ def assemble(
     for axis in range(grid.d):
         ek = np.zeros(grid.d)
         ek[axis] = 0.5 * h
-        ap = _eval_coef(coeffs.a[axis], upts + ek, t)
-        am = _eval_coef(coeffs.a[axis], upts - ek, t)
+        periodic = bc.axis_periodic(axis)
+        if periodic:
+            ghosts = {1: np.zeros(n_unk, dtype=bool), -1: np.zeros(n_unk, dtype=bool)}
+        else:  # an unknown on a face is a Robin row: its outer neighbor is a ghost node
+            ghosts = {1: uidx[:, axis] == N, -1: uidx[:, axis] == 0}
+        ap = _half_step_coef(coeffs.a[axis], upts, ek, t, ghosts[1])
+        am = _half_step_coef(coeffs.a[axis], upts, -ek, t, ghosts[-1])
         bk = (
             _eval_coef(coeffs.b[axis], upts, t)
             if coeffs.b is not None
@@ -309,15 +327,12 @@ def assemble(
         w_p = -ap / h**2 + bk / (2.0 * h)  # coefficient of V(z + h e_k)
         w_m = -am / h**2 - bk / (2.0 * h)  # coefficient of V(z - h e_k)
 
-        periodic = bc.axis_periodic(axis)
         for side, w_side in ((1, w_p), (-1, w_m)):
             nb = uidx.copy()
             nb[:, axis] += side
             if periodic:
                 nb[:, axis] %= N
-                ghost = np.zeros(n_unk, dtype=bool)
-            else:
-                ghost = (nb[:, axis] < 0) | (nb[:, axis] > N)
+            ghost = ghosts[side]
             ok = ~ghost
             if np.any(ok):
                 tgt = np.ravel_multi_index(nb[ok].T, grid.shape)

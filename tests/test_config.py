@@ -218,6 +218,18 @@ def test_negative_robin_expression_fails_the_solve(tmp_path, capsys):
     assert not (tmp_path / "solution.csv").exists()
 
 
+def test_coefficient_given_on_the_domain_only_solves_with_robin_face(tmp_path):
+    # a = 1 + sqrt(x) is undefined left of x = 0; the x- Robin row must not
+    # evaluate it at x = -h/2
+    bc = {"x-": {"kind": "robin", "value": 1.0}, "x+": {"kind": "dirichlet"}}
+    doc = {**BASE_PDE, "problem": {**BASE_PDE["problem"], "f": {"kind": "zero"}, "bc": bc,
+                                   "coefficients": {"a": ["1 + x^0.5"]}}}
+    cfg = tmp_path / "robin.json"
+    cfg.write_text(make(doc))
+    assert main(["pde", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "solution.csv").exists()
+
+
 class TestCoefficients:
     def test_expression_coefficient(self):
         doc = json.loads(make(BASE_PDE))

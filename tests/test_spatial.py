@@ -64,6 +64,36 @@ class TestAssemble1D:
         A = op.matrix.toarray()
         np.testing.assert_allclose(A[-1, -2:], [-200.0, 220.0], rtol=1e-12)
 
+    def test_robin_faces_sample_a_inside_the_domain(self):
+        # at a Robin face the outer half-point value is 2 a(z) - a(z -/+ h/2):
+        # a is never evaluated outside [0, X], and a linear a is reproduced
+        grid = Grid(1, 10, 1.0)
+        h = grid.h
+
+        def a(pts, t):
+            assert np.all((pts >= 0.0) & (pts <= grid.X))
+            return 1.0 + pts[:, 0]
+
+        bs = BoundarySpec({"x-": BoundaryCondition("robin", 2.0), "x+": BoundaryCondition("robin", 1.0)}, 1)
+        A = assemble(grid, CoefficientField(a=(a,)), 0.0, bs).matrix.toarray()
+        a_out = {0: 1.0 - h / 2, 10: 2.0 + h / 2}  # a(-h/2) and a(X + h/2)
+        a_in = {0: 1.0 + h / 2, 10: 2.0 - h / 2}
+        mu = {0: 2.0, 10: 1.0}
+        for row, inner in ((0, 1), (10, 9)):
+            # ghost elimination: the inner coefficient takes both half-point
+            # values, the diagonal gains 2 h mu a_out / h^2
+            want_diag = (a_out[row] + a_in[row]) / h**2 + 2.0 * mu[row] * a_out[row] / h
+            np.testing.assert_allclose(A[row, [inner, row]], [-(a_out[row] + a_in[row]) / h**2, want_diag],
+                                       rtol=1e-12)
+
+    def test_robin_extrapolated_a_below_zero_fails_the_max_principle(self):
+        # a = 0.01 + 10 x extrapolates to 0.02 - (0.01 + 5 h) < 0 at the x- face
+        grid = Grid(1, 10, 1.0)
+        bs = BoundarySpec({"x-": BoundaryCondition("robin", 1.0), "x+": BoundaryCondition("dirichlet", 0.0)}, 1)
+        op = assemble(grid, CoefficientField(a=(lambda pts, t: 0.01 + 10.0 * pts[:, 0],)), 0.0, bs)
+        with pytest.raises(MaxPrincipleError):
+            check_max_principle(op, 1)
+
     def test_eigenvector_identity(self):
         # -u'' on (0, pi) with Dirichlet: sin(x) is an exact eigenvector of
         # the FD matrix with discrete eigenvalue (2 - 2 cos h)/h^2

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -6,13 +8,49 @@ import pytest
 from scipy.integrate import IntegrationWarning
 
 from fraxolve.special import (
+    _FAR_RADIUS,
+    _asymptotic_tail,
     _ml_asymptotic,
     _ml_negative_quad,
-    _ml_series_float,
+    _ml_series,
     gamma,
     mittag_leffler,
     rgamma,
 )
+
+
+def _mp_series(a, s):
+    """E_a(s) by its power series in mpmath; on the negative axis the
+    precision is sized to the largest term, so cancellation cannot pollute it."""
+    mpmath = pytest.importorskip("mpmath")
+    dps = 40 + (int(abs(s) ** (1.0 / a) / 2.3) if s < 0 else 0)
+    with mpmath.workdps(dps):
+        z, aa = mpmath.mpf(s), mpmath.mpf(a)
+        total, k = mpmath.mpf(1), 1
+        while True:
+            term = z**k / mpmath.gamma(aa * k + 1)
+            total += term
+            if abs(term) < mpmath.mpf(10) ** (-dps + 5) * max(1, abs(total)) and k * a > 2:
+                return float(total)
+            k += 1
+
+
+def _mp_negative_asymptotic(a, s):
+    """The large-|s| sum -sum_k s^-k / Gamma(1 - alpha k) in mpmath, stopped at its smallest term."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        z, aa = mpmath.mpf(s), mpmath.mpf(a)
+        total, prev = mpmath.mpf(0), mpmath.inf
+        for k in range(1, 400):
+            if abs(a * k - round(a * k)) < 1e-12:
+                continue  # pole of Gamma(1 - alpha k): the term is zero
+            term = -(z ** -k) * mpmath.rgamma(1 - aa * k)
+            if abs(term) > prev:
+                break  # divergent series: stop at the smallest term
+            total += term
+            prev = abs(term)
+        assert prev < 1e-25 * abs(total)
+        return float(total)
 
 
 class TestGamma:
@@ -72,15 +110,15 @@ class TestMittagLeffler:
         # stays in float range).
         for a in (0.5, 0.6, 0.8):
             for s in np.linspace(10.0, 14.0, 9):
-                v1 = _ml_series_float(a, s)
-                v2 = _ml_asymptotic(a, s)
+                v1 = _ml_series(a, np.array([s]))[0]
+                v2 = _ml_asymptotic(a, np.array([s]))[0]
                 assert v1 == pytest.approx(v2, rel=1e-7)
 
     def test_series_quadrature_branch_consistency_negative(self):
         # Series and spectral quadrature must agree on the negative axis
         # where both are applicable (no cancellation: alpha close to 1).
         for a, s in [(0.8, -2.0), (0.9, -4.0), (0.95, -8.0), (0.7, -1.5)]:
-            v1 = _ml_series_float(a, s)
+            v1 = _ml_series(a, np.array([s]))[0]
             v2 = _ml_negative_quad(a, s)
             # float64 series loses a few digits near its admissible peak
             assert v1 == pytest.approx(v2, rel=1e-8)
@@ -138,35 +176,7 @@ class TestMittagLeffler:
         # points on the quadrature branch; reference: the series at raised
         # precision where its largest term (~exp(|s|^(1/alpha))) is affordable,
         # else the large-|s| asymptotic sum -sum_k s^-k / Gamma(1 - alpha k)
-        mpmath = pytest.importorskip("mpmath")
-
-        def series(a, s):
-            dps = int(abs(s) ** (1.0 / a) / 2.3) + 40
-            with mpmath.workdps(dps):
-                z, aa = mpmath.mpf(s), mpmath.mpf(a)
-                total, k = mpmath.mpf(1), 1
-                while True:
-                    term = z**k / mpmath.gamma(aa * k + 1)
-                    total += term
-                    if abs(term) < mpmath.mpf(10) ** (-dps + 5) and k * a > 2:
-                        return float(total)
-                    k += 1
-
-        def asymptotic(a, s):
-            with mpmath.workdps(40):
-                z, aa = mpmath.mpf(s), mpmath.mpf(a)
-                total, prev = mpmath.mpf(0), mpmath.inf
-                for k in range(1, 400):
-                    if abs(a * k - round(a * k)) < 1e-12:
-                        continue  # pole of Gamma(1 - alpha k): the term is zero
-                    term = -(z ** -k) * mpmath.rgamma(1 - aa * k)
-                    if abs(term) > prev:
-                        break  # divergent series: stop at the smallest term
-                    total += term
-                    prev = abs(term)
-                assert prev < 1e-25 * abs(total)
-                return float(total)
-
+        asymptotic, series = _mp_negative_asymptotic, _mp_series
         cases = [(0.2, -30.0, asymptotic), (0.2, -100.0, asymptotic),
                  (0.3, -12.0, asymptotic), (0.3, -100.0, asymptotic),
                  (0.5, -13.0, series), (0.5, -60.0, asymptotic),
@@ -186,3 +196,86 @@ class TestMittagLeffler:
         with pytest.warns(RuntimeWarning):
             v = mittag_leffler(0.5, 1e7)
         assert math.isinf(v)
+
+    def test_far_negative_axis_against_mpmath(self):
+        # past _FAR_RADIUS the algebraic expansion replaces the quadrature,
+        # whose x * x overflows near |s| = 1e154
+        for a in (0.2, 0.5, 0.9):
+            s = np.array([-1e160, -1e300])
+            want = [_mp_negative_asymptotic(a, si) for si in s]
+            np.testing.assert_allclose(mittag_leffler(a, s), want, rtol=1e-12, atol=0.0)
+            for si, w in zip(s, want):
+                assert mittag_leffler(a, si) == pytest.approx(w, rel=1e-12)
+
+    def test_far_radius_switch_is_seamless(self):
+        for a in (0.2, 0.5, 0.9):
+            s = -_FAR_RADIUS
+            far = 0.0 - _asymptotic_tail(a, np.array([s]))[0]
+            assert far == pytest.approx(_ml_negative_quad(a, s), rel=1e-11)
+
+    def test_infinities_and_nan(self):
+        for a in (0.5, 1.0):
+            assert mittag_leffler(a, -math.inf) == 0.0
+            with pytest.warns(RuntimeWarning) as rec:
+                v = mittag_leffler(a, np.array([math.inf, -math.inf, 1e9, math.inf]))
+            assert len(rec) == 1  # one warning per call, not per entry
+            np.testing.assert_array_equal(v, [math.inf, 0.0, math.inf, math.inf])
+            for bad in (math.nan, np.array([1.0, math.nan])):
+                with pytest.raises(ValueError):
+                    mittag_leffler(a, bad)
+
+    @pytest.mark.parametrize("a", [0.5, 0.9, 1.0])
+    def test_array_matches_scalar_calls(self, a):
+        # every branch in one array: 0, series (both signs), asymptotic,
+        # quadrature, far negative axis and +-inf
+        s = np.array([0.0, 0.3, -0.7, 2.5, -2.9, 11.0, 13.0, 20.0,
+                      -15.0, -200.0, -3e7, -math.inf, math.inf])
+        with pytest.warns(RuntimeWarning):
+            v = mittag_leffler(a, s)
+        want = []
+        for si in s:
+            if si == math.inf:
+                with pytest.warns(RuntimeWarning):
+                    want.append(mittag_leffler(a, si))
+            else:
+                want.append(mittag_leffler(a, si))
+        assert all(type(w) is float for w in want)
+        np.testing.assert_allclose(v, want, rtol=1e-15, atol=0.0)
+        grid = s[:12].reshape(3, 4)
+        np.testing.assert_array_equal(mittag_leffler(a, grid), v[:12].reshape(3, 4))
+        zero_d = mittag_leffler(a, np.array(-2.9))
+        assert type(zero_d) is float and zero_d == v[4]
+
+    def test_series_against_mpmath(self):
+        # 40 points of (0, 12] on the series branch (peak term <= e^600,
+        # which for alpha = 0.3 ends at s = 600^0.3 = 6.8); alpha = 0.3 near
+        # that end needs the extended-precision log|s| of _series_partials
+        mpmath = pytest.importorskip("mpmath")
+        for a in (0.3, 0.5, 0.7, 0.9):
+            s_hi = min(12.0, 600.0**a)
+            s = np.linspace(s_hi / 40, s_hi, 40)
+            want = []
+            with mpmath.workdps(40):  # positive terms: no cancellation to size the precision for
+                k_peak = s_hi ** (1.0 / a) / a
+                rg = [mpmath.rgamma(mpmath.mpf(a) * k + 1) for k in range(int(2 * k_peak) + 400)]
+                for si in s:
+                    z, zk, total = mpmath.mpf(si), mpmath.mpf(1), mpmath.mpf(0)
+                    for k, r in enumerate(rg):
+                        term = zk * r
+                        total += term
+                        if k > k_peak and term < 1e-30 * total:
+                            break
+                        zk *= z
+                    else:
+                        raise AssertionError("reference series did not converge")
+                    want.append(float(total))
+            np.testing.assert_allclose(_ml_series(a, s), want, rtol=1e-13, atol=0.0)
+
+
+def test_import_leaves_quadrature_unloaded():
+    # scipy.integrate (and the scipy.optimize it pulls in) load only when
+    # the negative-axis quadrature runs
+    code = ("import sys, fraxolve; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
