@@ -85,8 +85,14 @@ def _l1_level(
     return float(d[n])
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:  # the L1 weights are derived for this range only
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+
+
 def l1_weights(mesh: TemporalMesh, alpha: float, m: int) -> CaputoWeights:
-    """Weights of the L1 operator at level m, 1 <= m <= M."""
+    """Weights of the L1 operator at level m, 1 <= m <= M, for 0 < alpha < 1."""
+    _check_alpha(alpha)
     if not 1 <= m <= mesh.M:
         raise ValueError(f"level m must be in [1, {mesh.M}], got {m}")
     tau = np.diff(mesh.nodes[: m + 1])
@@ -102,7 +108,9 @@ def march(mesh: TemporalMesh, alpha: float, U: np.ndarray):
     The steps, tau_j Gamma(2-alpha) and two length-M work buffers are set up
     once per call; each level is filled in place by the kernel ``l1_weights``
     uses, so both give the same weights bit for bit.  F^m never shares the buffers.
+    Raises ValueError unless 0 < alpha < 1.
     """
+    _check_alpha(alpha)
     tau = mesh.steps
     tau_g = tau * gamma(2.0 - alpha)
     beta = 1.0 - alpha

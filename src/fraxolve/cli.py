@@ -40,22 +40,29 @@ def _config_hash(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def _config_error(e: Exception) -> int:
+    print(f"config error: {e}", file=sys.stderr)
+    return EXIT_CONFIG
+
+
 def _cmd_ml(args) -> int:
-    val = mittag_leffler(args.alpha, args.s)
+    try:
+        val = mittag_leffler(args.alpha, args.s)
+    except ValueError as e:  # alpha outside (0, 1] or s = nan
+        return _config_error(e)
     print(f"{val:.7g}")
     return EXIT_OK
 
 
 def _cmd_scalar(args) -> int:
     t0 = time.perf_counter()
-    mesh = build_graded(args.M, args.T, args.r)
-    if args.f == "allen_cahn":
-        f = builtin("allen_cahn", alpha=args.alpha)
-    elif args.f == "fisher":
-        f = builtin("fisher")
-    else:
-        f = builtin("linear", cstar=args.cstar)
-    restr = check_step_restriction(mesh, FracParams(args.alpha, f.lam))
+    try:
+        mesh = build_graded(args.M, args.T, args.r)
+        params = {"allen_cahn": {"alpha": args.alpha}, "linear": {"cstar": args.cstar}}
+        f = builtin(args.f, **params.get(args.f, {}))
+        restr = check_step_restriction(mesh, FracParams(args.alpha, f.lam))
+    except ValueError as e:
+        return _config_error(e)
     try:
         traj = solve_scalar(f, args.u0, mesh, args.alpha)
     except (NonconvergenceError, ValueError) as e:
@@ -107,8 +114,7 @@ def _cmd_pde(args) -> int:
     try:
         cfg = parse_config(text)
     except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _config_error(e)
     try:
         sol = solve_pde(cfg.problem, cfg.mesh, cfg.grid, cfg.solver)
     except (NonconvergenceError, ValueError) as e:
@@ -135,7 +141,11 @@ def _cmd_pde(args) -> int:
 
 def _cmd_stability(args) -> int:
     t0 = time.perf_counter()
-    mesh = build_graded(args.M, args.T, args.r)
+    try:
+        mesh = build_graded(args.M, args.T, args.r)
+        FracParams(args.alpha, args.lam)  # alpha in (0, 1), lam >= 0
+    except ValueError as e:
+        return _config_error(e)
     try:
         rep = envelope_ratio(mesh, args.alpha, args.lam, args.gamma,
                              enforce_gate=not args.ungated)
@@ -184,8 +194,7 @@ def _cmd_table(args) -> int:
     try:
         spec = _table_spec(args.preset, args.scale)
     except ValueError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _config_error(e)
     try:
         rows = table_run(spec)
     except (NonconvergenceError, BudgetError, ValueError) as e:
@@ -307,8 +316,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except FileNotFoundError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _config_error(e)
 
 
 if __name__ == "__main__":

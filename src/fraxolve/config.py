@@ -136,14 +136,15 @@ def _alpha(obj, path):
 _F_KEYS = {"allen_cahn": ("alpha",), "fisher": (), "linear": ("cstar", "F"), "zero": ()}
 
 
-def _parse_f(obj, path):
+def _parse_f(obj, path, alpha):
+    """The reaction; an Allen-Cahn ``alpha`` defaults to the problem's."""
     _require_keys(obj, path, ("kind",), ("alpha", "cstar", "F"))
     kind = obj["kind"]
     if not isinstance(kind, str) or kind not in _F_KEYS:
         raise ConfigError(f"{path}.kind", f"unknown nonlinearity kind {kind!r}")
     _require_keys(obj, path, ("kind",), _F_KEYS[kind])
     if kind == "allen_cahn":
-        return builtin("allen_cahn", alpha=_alpha(obj.get("alpha", 0.5), f"{path}.alpha"))
+        return builtin("allen_cahn", alpha=_alpha(obj.get("alpha", alpha), f"{path}.alpha"))
     if kind == "fisher":
         return builtin("fisher")
     if kind == "linear":
@@ -214,7 +215,7 @@ def parse_config(text: str) -> RunConfig:
     p = raw["problem"]
     _require_keys(p, "problem", ("f",), ("u0", "alpha", "coefficients", "bc"))
     alpha = _alpha(p.get("alpha", 0.5), "problem.alpha")
-    f = _parse_f(p["f"], "problem.f")
+    f = _parse_f(p["f"], "problem.f", alpha)
     coeffs_obj = p.get("coefficients", {})
     _require_keys(coeffs_obj, "problem.coefficients", (), ("a", "b", "c"))
     a_obj = coeffs_obj.get("a", [1.0] * grid.d)

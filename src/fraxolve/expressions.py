@@ -1,12 +1,21 @@
-"""A small arithmetic expression grammar for problem definitions in config files.
+"""Arithmetic expressions for the problem data in config files.
 
-Identifiers x, y, t; operators + - * / ^; functions sin, cos, exp;
-constant pi.  Compiles to a numpy-vectorized callable.
+Decimal literals, the variables x, y, t, the constant pi, binary + - * / and ^,
+unary minus, parentheses and one-argument sin, cos, exp.  ``^`` is Python's
+``**``, right-associative and tighter than a unary minus on its left (-2^2 = -4,
+2^3^2 = 512); ``**`` itself, ``#`` and non-ASCII text are refused.  :mod:`ast`
+parses the text and a whitelist of this grammar checks every node, so
+attributes, other names or calls, keywords, comparisons and hex or underscored
+literals raise ExpressionError.  The checked tree is compiled once and evaluated
+without builtins, in a namespace of only x, y, t (float arrays), pi, sin, cos, exp.
 """
 
 from __future__ import annotations
 
+import ast
 import math
+import re
+import warnings
 from typing import Callable
 
 import numpy as np
@@ -15,6 +24,10 @@ __all__ = ["parse_expression", "ExpressionError"]
 
 _FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
 _VARS = ("x", "y", "t")
+_GLOBALS = {"__builtins__": {}, "pi": math.pi, **_FUNCS}
+_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
+_DECIMAL = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
+_REFUSED = re.compile(r"[^\x01-\x7f]|#|\*\*")  # non-ASCII: NFKC reads a full-width x as x
 
 
 class ExpressionError(ValueError):
@@ -23,132 +36,54 @@ class ExpressionError(ValueError):
         self.pos = pos
 
 
-def _tokenize(text: str):
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*/^()":
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        if ch.isdigit() or ch == ".":
-            j = i
-            while j < n and (text[j].isdigit() or text[j] in ".eE" or
-                             (text[j] in "+-" and j > i and text[j - 1] in "eE")):
-                j += 1
-            try:
-                val = float(text[i:j])
-            except ValueError:
-                raise ExpressionError(f"bad number {text[i:j]!r}", i) from None
-            tokens.append(("num", val, i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j], i))
-            i = j
-            continue
-        raise ExpressionError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", None, n))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.k = 0
-
-    def peek(self):
-        return self.tokens[self.k]
-
-    def take(self, kind=None):
-        tok = self.tokens[self.k]
-        if kind is not None and tok[0] != kind:
-            raise ExpressionError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
-        self.k += 1
-        return tok
-
-    # expr := term (('+'|'-') term)*
-    def expr(self):
-        node = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
-            rhs = self.term()
-            node = (lambda a, b: (lambda env: a(env) + b(env)))(node, rhs) if op == "+" \
-                else (lambda a, b: (lambda env: a(env) - b(env)))(node, rhs)
-        return node
-
-    # term := unary (('*'|'/') unary)*
-    def term(self):
-        node = self.unary()
-        while self.peek()[0] in ("*", "/"):
-            op = self.take()[0]
-            rhs = self.unary()
-            node = (lambda a, b: (lambda env: a(env) * b(env)))(node, rhs) if op == "*" \
-                else (lambda a, b: (lambda env: a(env) / b(env)))(node, rhs)
-        return node
-
-    # unary := '-' unary | power
-    def unary(self):
-        if self.peek()[0] == "-":
-            self.take()
-            inner = self.unary()
-            return lambda env: -inner(env)
-        return self.power()
-
-    # power := atom ('^' unary)?   (right-associative)
-    def power(self):
-        base = self.atom()
-        if self.peek()[0] == "^":
-            self.take()
-            exponent = self.unary()
-            return lambda env: base(env) ** exponent(env)
-        return base
-
-    def atom(self):
-        kind, val, pos = self.peek()
-        if kind == "num":
-            self.take()
-            return lambda env, _v=val: _v
-        if kind == "(":
-            self.take()
-            node = self.expr()
-            self.take(")")
-            return node
-        if kind == "name":
-            self.take()
-            if val == "pi":
-                return lambda env: math.pi
-            if val in _VARS:
-                return lambda env, _v=val: env[_v]
-            if val in _FUNCS:
-                self.take("(")
-                arg = self.expr()
-                self.take(")")
-                return lambda env, _f=_FUNCS[val]: _f(arg(env))
-            raise ExpressionError(f"unknown identifier {val!r}", pos)
-        raise ExpressionError(f"unexpected token {val!r}", pos)
+def _variables(body: ast.expr, text: str, src: str, at: list) -> frozenset:
+    """The x, y, t that ``body`` uses; ExpressionError at its first node outside the grammar."""
+    callees, names = set(), set()
+    for node in ast.walk(body):  # a parent comes first, so a rejected one hides its children
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in _FUNCS and len(node.args) == 1 and not node.keywords:
+            callees.add(node.func)
+        elif isinstance(node, ast.Name) and (node.id in ("x", "y", "t", "pi") or node in callees):
+            names.add(node.id)
+        elif isinstance(node, ast.Constant) and type(node.value) in (int, float) \
+                and _DECIMAL.fullmatch(src, node.col_offset, node.end_col_offset):
+            node.value = float(src[node.col_offset:node.end_col_offset])
+        elif not (isinstance(node, (ast.operator, ast.unaryop, ast.expr_context))
+                  or isinstance(node, ast.BinOp) and isinstance(node.op, _BINOPS)
+                  or isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)):
+            start = at[node.col_offset]
+            if isinstance(node, ast.Name):
+                raise ExpressionError(f"unknown identifier {node.id!r}", start)
+            raise ExpressionError(f"not allowed: {text[start:at[node.end_col_offset]]!r}", start)
+    return frozenset(names.intersection(_VARS))
 
 
 def parse_expression(text: str) -> Callable:
-    """Compile an expression to ``fn(x=..., y=..., t=...) -> array``.
-
-    ``fn.variables`` is the set of the names x, y, t the expression references.
-    """
-    p = _Parser(text)
-    node = p.expr()
-    p.take("end")
+    """Compile an expression to ``fn(x=..., y=..., t=...) -> array``; ``fn.variables``
+    is the set of the names x, y, t it references and ``fn.source`` the text."""
+    if bad := _REFUSED.search(text):
+        raise ExpressionError(f"{bad.group()!r} is not allowed (a power is ^)", bad.start())
+    # blanks (newlines between tokens are allowed) and the leading zeros of an
+    # integer part, which Python refuses in 07, become spaces of the same width
+    body = re.sub(r"\s|(?<![\w.])(?<![eE][+-])0+(?=\d)", lambda z: " " * len(z[0]), text)
+    lead, body = len(body) - len(body.lstrip()), body.strip()
+    src = body.replace("^", "**")
+    # at[k] is where src[k] sits in text (each '^' became two characters); at[-1] is the end
+    at = [lead + i for i, c in enumerate(body) for _ in range(1 + (c == "^"))] + [lead + len(body)]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # e.g. SyntaxWarning "invalid decimal literal"
+            tree = ast.parse(src, mode="eval")
+        variables = _variables(tree.body, text, src, at)
+        code = compile(tree, "<expression>", "eval")
+    except SyntaxError as e:
+        raise ExpressionError(e.msg, at[min((e.offset or 0) - 1, len(src))]) from None
+    except (RecursionError, MemoryError, Warning) as e:  # nesting limits, stray warnings
+        raise ExpressionError(f"cannot compile: {e}", 0) from None
 
     def fn(x=0.0, y=0.0, t=0.0):
-        return node({"x": np.asarray(x, dtype=float), "y": np.asarray(y, dtype=float),
-                     "t": np.asarray(t, dtype=float)})
+        env = {name: np.asarray(v, dtype=float) for name, v in zip(_VARS, (x, y, t))}
+        return eval(code, _GLOBALS, env)
 
-    fn.source = text
-    fn.variables = frozenset(v for kind, v, _ in p.tokens if kind == "name" and v in _VARS)
+    fn.source, fn.variables = text, variables
     return fn

@@ -75,6 +75,12 @@ class TestWeights:
         assert w.kappa[:-1].sum() == pytest.approx(w.diag, rel=1e-11)
 
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, math.nan])
+    def test_alpha_outside_unit_interval_raises(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            l1_weights(build_graded(4, 1.0, 1.0), alpha, 2)
+
+
 class TestApplyDelta:
     def test_exact_on_linear(self):
         # delta^alpha (a + b t) = b t^{1-alpha} / Gamma(2-alpha), exactly

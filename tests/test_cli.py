@@ -82,6 +82,25 @@ class TestScalar:
         assert code == EXIT_SOLVER
 
 
+@pytest.mark.parametrize("argv", [
+    ["scalar", "--alpha", "0.5", "--M", "0", "--u0", "1"],
+    ["scalar", "--alpha", "0.5", "--M", "10", "--T", "0", "--u0", "1"],
+    ["scalar", "--alpha", "0.5", "--M", "10", "--r", "0.5", "--u0", "1"],
+    ["scalar", "--alpha", "1.5", "--M", "10", "--u0", "1"],
+    ["scalar", "--alpha", "1.5", "--M", "10", "--u0", "1", "--f", "allen_cahn"],
+    ["stability", "--alpha", "0.5", "--gamma", "1", "--M", "0"],
+    ["stability", "--alpha", "1.5", "--gamma", "1", "--M", "10", "--ungated"],
+    ["ml", "--alpha", "0", "--s", "1"],
+    ["ml", "--alpha", "0.5", "--s", "nan"],
+])
+def test_bad_flags_are_config_errors(argv, tmp_path, capsys):
+    assert main(argv + ([] if argv[0] == "ml" else ["--out", str(tmp_path)])) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert "Traceback" not in err
+    assert not list(tmp_path.iterdir())  # nothing written
+
+
 class TestPDE:
     def test_run_and_artifacts(self, tmp_path):
         cfg = tmp_path / "run.json"

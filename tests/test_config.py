@@ -148,6 +148,14 @@ class TestProblemSection:
         with pytest.raises(ConfigError, match="cubic"):
             parse_config(make(doc))
 
+    def test_allen_cahn_alpha_defaults_to_the_problem_alpha(self):
+        doc = json.loads(make(BASE_PDE))
+        doc["problem"]["alpha"] = 0.3
+        doc["problem"]["f"] = {"kind": "allen_cahn"}
+        f = parse_config(make(doc)).problem.f
+        assert f.lam == 1 / 0.3
+        assert f.eval(None, 0.0, 0.5) == (0.5 * 0.5 * 0.5 - 0.5) / 0.3
+
     def test_linear_cstar(self):
         doc = json.loads(make(BASE_PDE))
         doc["problem"]["f"] = {"kind": "linear", "cstar": -2.0}

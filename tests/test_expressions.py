@@ -92,3 +92,58 @@ class TestErrors:
     def test_function_requires_parentheses(self):
         with pytest.raises(ExpressionError):
             parse_expression("sin x")
+
+
+# Python parses these; the whitelist must refuse every one of them.
+OUTSIDE_THE_GRAMMAR = [
+    "x.real", "__import__('os')", "sin(x, y)", "sin(x=1)", "sin()", "abs(x)",
+    "x if y else t", "x < y", "[x]", "lambda: 1", "x // y", "x % y", "x**2", "+x",
+    "1_000", "0x10", "1j", "True", "'a'", "x\x00", "ｘ + 1", "1and x",
+    "sin + 1", "x(1)", "sin(*x)", "(x := 1)", "x # a comment", "2*^3",
+    pytest.param("-" * 5000 + "x", id="5000 unary minus"),
+]
+
+
+class TestWhitelist:
+    @pytest.mark.parametrize("text", OUTSIDE_THE_GRAMMAR)
+    def test_refused_with_a_position_in_the_text(self, text):
+        with pytest.raises(ExpressionError) as exc:
+            parse_expression(text)
+        assert type(exc.value) is ExpressionError
+        assert 0 <= exc.value.pos <= len(text)
+
+    def test_position_maps_back_through_caret_and_blanks(self):
+        # '^' is parsed as two characters and leading blanks are stripped
+        with pytest.raises(ExpressionError) as exc:
+            parse_expression("  x^2^2 + foo")
+        assert exc.value.pos == 10
+        with pytest.raises(ExpressionError) as exc:
+            parse_expression("x^2 $ 1")
+        assert exc.value.pos == 4
+
+    def test_blanks_and_newlines_between_tokens(self):
+        x = np.linspace(0.0, 3.0, 5)
+        fn = parse_expression("\n  1 +\n 0.5 *\tsin( x )\r\n")
+        assert np.array_equal(fn(x=x), 1.0 + 0.5 * np.sin(x))
+
+    def test_leading_zeros_read_as_before(self):
+        assert parse_expression("07 + 0.5e-01 + 00.25")() == 7.0 + 0.05 + 0.25
+
+
+class TestParity:
+    """The compiled expression runs the numpy operations a hand-written tree ran."""
+
+    def test_benchmark_coefficient_and_initial_value_bitwise(self):
+        x = np.linspace(0.0, math.pi, 2001)
+        a = parse_expression("1 + 0.5*sin(x)")(x=x)
+        u0 = parse_expression("0.5 + 0.3*cos(2*x)")(x=x)
+        assert a.tobytes() == (1.0 + 0.5 * np.sin(x)).tobytes()
+        assert u0.tobytes() == (0.5 + 0.3 * np.cos(2.0 * x)).tobytes()
+
+    def test_power_and_unary_minus_bitwise(self):
+        x = np.linspace(0.25, 2.0, 9)
+        y = np.linspace(-1.0, 1.0, 9)
+        fn = parse_expression("exp(-t)*sin(pi*x)*y^2 - -x^-0.5^2")
+        ref = np.exp(-np.asarray(0.3)) * np.sin(math.pi * x) * y ** 2.0 - -(x ** -(0.5 ** 2.0))
+        assert fn(x=x, y=y, t=0.3).tobytes() == ref.tobytes()
+        assert parse_expression("-2^2")() == -4.0

@@ -74,6 +74,12 @@ class TestResolvent:
         with pytest.raises(ValueError):
             solve_resolvent(mesh, 0.5, 0.0, np.ones(5))
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.5, math.nan])
+    def test_alpha_outside_unit_interval_raises(self, alpha):
+        # the L1 weights hold for 0 < alpha < 1 only; alpha = 1.5 used to return a profile
+        with pytest.raises(ValueError, match="alpha"):
+            solve_resolvent(build_graded(10, 1.0, 1.0), alpha, 1.0, np.ones(10))
+
 
 class TestEnvelopeValues:
     def test_three_branches(self):
