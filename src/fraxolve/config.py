@@ -55,12 +55,33 @@ def _number(obj, path, *, minimum=None, strict_min=None, integer=False):
 
 
 def _expression(text, path):
+    """The compiled expression; one without x, y, t is also evaluated (``_check_values``)."""
     if not isinstance(text, str):
         raise ConfigError(path, f"expected an expression string, got {text!r}")
     try:
-        return parse_expression(text)
+        expr = parse_expression(text)
     except ExpressionError as e:
         raise ConfigError(path, str(e)) from None
+    if not expr.variables:
+        _check_values(expr, path)
+    return expr
+
+
+def _check_values(expr, path, **variables) -> None:
+    """ConfigError unless ``expr(**variables)`` is real and finite.
+
+    Constant subexpressions are Python floats, which raise on 1/0 and 10^400
+    and turn (-1)^0.5 complex; on arrays numpy gives inf and nan instead.
+    """
+    try:
+        with np.errstate(all="ignore"):
+            v = np.asarray(expr(**variables))
+    except ArithmeticError as e:
+        raise ConfigError(path, f"cannot evaluate {expr.source!r}: {e}") from None
+    if np.iscomplexobj(v):
+        raise ConfigError(path, f"{expr.source!r} has a complex value")
+    if not np.isfinite(v).all():
+        raise ConfigError(path, f"{expr.source!r} has a non-finite value")
 
 
 def _space_fn(expr_fn):
@@ -237,6 +258,9 @@ def parse_config(text: str) -> RunConfig:
         "t" in v.variables for v in a + (b or ()) + (c,) + robin if callable(v)
     )
     coeffs = CoefficientField(a=a, b=b, c=c, time_dependent=time_dependent)
-    u0 = functools.partial(_space_fn(_expression(p.get("u0", "0"), "problem.u0")), t=0.0)
+    u0_expr = _expression(p.get("u0", "0"), "problem.u0")
+    pts = grid.points()  # u0 is checked where the solve evaluates it, at the nodes
+    _check_values(u0_expr, "problem.u0", x=pts[:, 0], y=pts[:, -1] if grid.d == 2 else 0.0)
+    u0 = functools.partial(_space_fn(u0_expr), t=0.0)
     problem = Problem(coeffs=coeffs, bc=bc, f=f, u0=u0, alpha=alpha)
     return RunConfig(mesh=mesh, grid=grid, problem=problem, solver=solver)

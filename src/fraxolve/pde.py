@@ -23,9 +23,11 @@ whole linear-solve choice for (L_h + diag(shift)) x = rhs:
   renumbering the unknowns 0, n-1, 1, n-2, ... makes every 1D L_h,
   periodic or not, a band of half-width 2.
 * 2D (``_ShiftedMatrix``): CG preconditioned with the fast inverse
-  (``spatial.fast_inverse``) when there is one and the matrix is provably
-  SPD; otherwise (variable coefficients, convection, Robin faces, or a
-  matrix not provably SPD) one SuperLU factorization per solve.
+  (``spatial.fast_inverse``: four small GEMMs with dense eigenbases on
+  grids with N <= 128, sine/Fourier transforms above) when there is one
+  and the matrix is provably SPD; otherwise (variable coefficients,
+  convection, Robin faces, or a matrix not provably SPD) one SuperLU
+  factorization per solve.
 
 CG is inexact Newton (Dembo-Eisenstat-Steihaug): it stops once its
 residual is below a tenth of the Newton tolerance, not at full accuracy.

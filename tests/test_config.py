@@ -188,10 +188,19 @@ BAD_PROBLEMS = [
      r"problem.bc.x\+.value"),
     ("bc", {"x-": {"kind": "robin", "value": -50}, "x+": {"kind": "dirichlet"}},
      r"problem.bc.x-.value: must be >= 0.0, got -50.0"),
+    # arithmetic that fails: Python floats raise on constants, numpy gives nan on the nodes
+    ("coefficients", {"a": ["1/0"]}, r"problem.coefficients.a\[0\]: cannot evaluate '1/0'"),
+    ("coefficients", {"a": ["10^400"]}, r"problem.coefficients.a\[0\]: cannot evaluate '10\^400'"),
+    ("coefficients", {"c": "1e308*10"}, "problem.coefficients.c: '1e308\\*10' has a non-finite value"),
+    ("bc", {"x-": {"kind": "dirichlet", "value": "2/(1 - 1)"}, "x+": {"kind": "dirichlet"}},
+     r"problem.bc.x-.value: cannot evaluate"),
+    ("u0", "(-1)^0.5", r"problem.u0: '\(-1\)\^0.5' has a complex value"),
+    ("u0", "(x - 1)^0.5", r"problem.u0: '\(x - 1\)\^0.5' has a non-finite value"),
 ]
 BAD_IDS = ["linear-F-expr", "linear-cstar-list", "allen-cahn-alpha", "fisher-alpha",
            "zero-cstar", "neumann-face", "unpaired-periodic", "list-face-value",
-           "negative-robin"]
+           "negative-robin", "coef-division-by-zero", "coef-overflow", "coef-infinite",
+           "face-value-division-by-zero", "u0-complex", "u0-nan-at-nodes"]
 
 
 def bad_problem(entry, value) -> dict:

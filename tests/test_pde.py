@@ -14,6 +14,7 @@ from fraxolve.harness import allen_cahn_problem
 from fraxolve.mesh import build_graded
 from fraxolve.nonlinearity import builtin
 import fraxolve.pde
+import fraxolve.spatial
 from fraxolve.pde import Problem, range_check_pde, solve_pde
 from fraxolve.scalar import NonconvergenceError, SolverConfig
 from fraxolve.spatial import (
@@ -315,6 +316,35 @@ class TestFastLinearSolve:
         assert lu.lin_iters == lu.newton_iters
         assert all(n_lin >= n for n_lin, n in zip(fast.lin_iters, fast.newton_iters))
         assert sum(fast.lin_iters) > sum(fast.newton_iters)
+
+    @pytest.mark.parametrize("case", FAST_CASES)
+    def test_dense_bases_match_transforms(self, monkeypatch, case):
+        # the same runs with the cutoff at 0, so every fast inverse applies the transforms
+        make, N, r, X = FAST_CASES[case]
+        problem, mesh, grid = make(), build_graded(12, 1.0, r), Grid(2, N, X)
+        assert fast_inverse(grid, problem.coeffs, problem.bc).bases is not None
+        dense = solve_pde(problem, mesh, grid)
+        with monkeypatch.context() as mp:
+            mp.setattr(fraxolve.spatial, "_DENSE_MAX_N", 0)
+            assert fast_inverse(grid, problem.coeffs, problem.bc).bases is None
+            transforms = solve_pde(problem, mesh, grid)
+        assert _same_counts(dense, transforms)
+        np.testing.assert_allclose(dense.fields, transforms.fields, rtol=0, atol=1e-10)
+
+    def test_fast_path_runs_scipy_cg(self, monkeypatch):
+        # every 2D fast-path solve is one call of the module's spla.cg, which
+        # a profiler or tracer wrapping that attribute sees
+        calls = []
+        cg = spla.cg
+
+        def counting_cg(*args, **kwargs):
+            calls.append(1)
+            return cg(*args, **kwargs)
+
+        monkeypatch.setattr(fraxolve.pde.spla, "cg", counting_cg)
+        sol = solve_pde(allen_cahn_problem(0.5), build_graded(12, 1.0, 3.0), Grid(2, 16, math.pi))
+        assert len(calls) == sum(sol.newton_iters) > 0
+        assert sum(sol.lin_iters) > len(calls)
 
     @pytest.mark.parametrize("case", FAST_CASES)
     def test_forcing_term_keeps_newton(self, monkeypatch, case):

@@ -1,7 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import eigsh
 
 from fraxolve.spatial import (
     BoundaryCondition,
@@ -9,6 +11,7 @@ from fraxolve.spatial import (
     CoefficientField,
     Grid,
     MaxPrincipleError,
+    _DENSE_MAX_N,
     assemble,
     check_max_principle,
     fast_inverse,
@@ -335,21 +338,52 @@ class TestFastInverse:
     )
     @pytest.mark.parametrize("s", [0.3, 40.0])
     def test_inverts_shifted_operator(self, d, bc_kinds, a, c, s):
-        grid = Grid(d, 12, math.pi)
-        coeffs = CoefficientField(a=a, c=c)
-        bc = _faces(*bc_kinds)
-        A = assemble(grid, coeffs, 0.0, bc).matrix
-        inv = fast_inverse(grid, coeffs, bc)
-        x = np.random.default_rng(7).standard_normal(A.shape[0])
-        np.testing.assert_allclose(inv(A @ x + s * x, s), x, rtol=0, atol=1e-12)
+        coeffs, bc = CoefficientField(a=a, c=c), _faces(*bc_kinds)
+        for N in (12, 130):  # either side of the dense-basis cutoff
+            grid = Grid(d, N, math.pi)
+            A = assemble(grid, coeffs, 0.0, bc).matrix
+            inv = fast_inverse(grid, coeffs, bc)
+            assert (inv.bases is None) == (N > _DENSE_MAX_N)
+            x = np.random.default_rng(7).standard_normal(A.shape[0])
+            np.testing.assert_allclose(inv(A @ x + s * x, s), x, rtol=0, atol=1e-12)
 
     def test_lam_min_is_smallest_eigenvalue(self):
-        grid = Grid(2, 10, math.pi)
         coeffs = CoefficientField(a=(1.0, 2.0), c=0.5)
-        for bc in (_faces("dirichlet", "dirichlet"), _faces("periodic", "dirichlet")):
-            A = assemble(grid, coeffs, 0.0, bc).matrix.toarray()
-            want = np.linalg.eigvalsh(A).min()
-            assert fast_inverse(grid, coeffs, bc).lam_min == pytest.approx(want, rel=1e-12)
+        for N in (12, 130):
+            grid = Grid(2, N, math.pi)
+            for bc in (_faces("dirichlet", "dirichlet"), _faces("periodic", "dirichlet")):
+                A = assemble(grid, coeffs, 0.0, bc).matrix
+                if N <= _DENSE_MAX_N:
+                    want = np.linalg.eigvalsh(A.toarray()).min()
+                else:  # shift-invert Lanczos: the eigenvalue nearest 0 of an SPD matrix
+                    want = eigsh(A, k=1, sigma=0.0, which="LM", return_eigenvectors=False)[0]
+                assert fast_inverse(grid, coeffs, bc).lam_min == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "bc_kinds, a, c",
+        [
+            (("dirichlet", "dirichlet"), (1.0, 1.0), None),
+            (("periodic", "periodic"), (1.0, 1.0), None),
+            (("periodic", "dirichlet"), (1.0, 1.0), None),
+            (("dirichlet", "periodic"), (1.0, 2.0), 0.5),
+        ],
+        ids=["dirichlet", "periodic", "mixed", "anisotropic"],
+    )
+    @pytest.mark.parametrize("N", [7, 12, _DENSE_MAX_N])
+    def test_dense_bases_match_transforms(self, bc_kinds, a, c, N):
+        inv = fast_inverse(Grid(2, N, math.pi), CoefficientField(a=a, c=c), _faces(*bc_kinds))
+        transforms = dataclasses.replace(inv, bases=None)
+        r = np.random.default_rng(5).standard_normal(inv.eigenvalues.size)
+        for s in (0.3, 40.0):
+            want = transforms(r, s)
+            assert np.max(np.abs(inv(r, s) - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("N", [2, 7, 12, _DENSE_MAX_N])
+    def test_bases_are_orthonormal(self, N):
+        inv = fast_inverse(Grid(2, N, math.pi), CoefficientField(a=(1.0, 1.0)), _faces("periodic", "dirichlet"))
+        for Q, n in zip(inv.bases, inv.eigenvalues.shape):
+            assert Q.shape == (n, n)
+            np.testing.assert_allclose(Q.T @ Q, np.eye(n), rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize(
         "coeffs, bc",
