@@ -54,34 +54,31 @@ def _number(obj, path, *, minimum=None, strict_min=None, integer=False):
     return v
 
 
-def _expression(text, path):
-    """The compiled expression; one without x, y, t is also evaluated (``_check_values``)."""
+def _expression(text, path, **at):
+    """The compiled expression and its value at ``at`` (x = y = t = 0 by default).
+
+    The evaluation turns arithmetic that fails whatever x, y, t hold into a
+    ConfigError: constant subexpressions are Python floats, which raise on
+    1/0 and 10^400 and turn (-1)^0.5 complex, while numpy gives inf and nan
+    on the variables' float arrays.  The value must also be finite when it
+    does not depend on x, y, t or is taken at the given points ``at``.
+    """
     if not isinstance(text, str):
         raise ConfigError(path, f"expected an expression string, got {text!r}")
     try:
         expr = parse_expression(text)
     except ExpressionError as e:
         raise ConfigError(path, str(e)) from None
-    if not expr.variables:
-        _check_values(expr, path)
-    return expr
-
-
-def _check_values(expr, path, **variables) -> None:
-    """ConfigError unless ``expr(**variables)`` is real and finite.
-
-    Constant subexpressions are Python floats, which raise on 1/0 and 10^400
-    and turn (-1)^0.5 complex; on arrays numpy gives inf and nan instead.
-    """
     try:
         with np.errstate(all="ignore"):
-            v = np.asarray(expr(**variables))
+            value = np.asarray(expr(**at))
     except ArithmeticError as e:
-        raise ConfigError(path, f"cannot evaluate {expr.source!r}: {e}") from None
-    if np.iscomplexobj(v):
-        raise ConfigError(path, f"{expr.source!r} has a complex value")
-    if not np.isfinite(v).all():
-        raise ConfigError(path, f"{expr.source!r} has a non-finite value")
+        raise ConfigError(path, f"cannot evaluate {text!r}: {e}") from None
+    if np.iscomplexobj(value):
+        raise ConfigError(path, f"{text!r} has a complex value")
+    if (at or not expr.variables) and not np.isfinite(value).all():
+        raise ConfigError(path, f"{text!r} has a non-finite value")
+    return expr, value
 
 
 def _space_fn(expr_fn):
@@ -101,8 +98,8 @@ def _coef_entry(obj, path):
     if isinstance(obj, (int, float)) and not isinstance(obj, bool):
         return float(obj)
     if isinstance(obj, str):
-        expr = _expression(obj, path)
-        return _space_fn(expr) if expr.variables else float(expr())
+        expr, value = _expression(obj, path)
+        return _space_fn(expr) if expr.variables else float(value)
     raise ConfigError(path, "expected a number or expression string")
 
 
@@ -191,7 +188,7 @@ def _parse_bc(obj, path, d):
         _require_keys(spec, f"{path}.{name}", ("kind",), ("value",))
         value = spec.get("value", 0.0)
         if isinstance(value, str):
-            value = _space_fn(_expression(value, f"{path}.{name}.value"))
+            value = _space_fn(_expression(value, f"{path}.{name}.value")[0])
         else:  # a negative Robin mu breaks the maximum principle
             value = _number(value, f"{path}.{name}.value",
                             minimum=0.0 if spec["kind"] == "robin" else None)
@@ -258,9 +255,9 @@ def parse_config(text: str) -> RunConfig:
         "t" in v.variables for v in a + (b or ()) + (c,) + robin if callable(v)
     )
     coeffs = CoefficientField(a=a, b=b, c=c, time_dependent=time_dependent)
-    u0_expr = _expression(p.get("u0", "0"), "problem.u0")
     pts = grid.points()  # u0 is checked where the solve evaluates it, at the nodes
-    _check_values(u0_expr, "problem.u0", x=pts[:, 0], y=pts[:, -1] if grid.d == 2 else 0.0)
+    y = pts[:, 1] if grid.d == 2 else 0.0
+    u0_expr, _ = _expression(p.get("u0", "0"), "problem.u0", x=pts[:, 0], y=y)
     u0 = functools.partial(_space_fn(u0_expr), t=0.0)
     problem = Problem(coeffs=coeffs, bc=bc, f=f, u0=u0, alpha=alpha)
     return RunConfig(mesh=mesh, grid=grid, problem=problem, solver=solver)

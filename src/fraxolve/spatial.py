@@ -7,8 +7,8 @@ centered first differences for b_k, Dirichlet/periodic/Robin faces.
 ``pde.solve_pde`` checks each L_h it assembles for the M-matrix pattern (``check_max_principle``).
 Constant-coefficient operators without convection on Dirichlet/periodic
 axes are also diagonalized by sine/Fourier modes (``fast_inverse``),
-applied as dense orthonormal eigenbases by GEMMs on grids with
-N <= ``_DENSE_MAX_N`` = 128 and by sine/Fourier transforms above
+applied as dense orthonormal eigenbases by GEMMs on 2D grids with
+N <= ``_DENSE_MAX_N`` = 128 and by sine/Fourier transforms otherwise
 (measured crossover in ``FastInverse``).
 """
 
@@ -393,14 +393,16 @@ class FastInverse:
     eigenvectors are sines on a Dirichlet axis and Fourier modes on a
     periodic one (Lynch-Rice-Thomas 1964, Buzbee-Golub-Nielson 1970).
 
-    With ``bases`` (grids with N <= ``_DENSE_MAX_N``) an application is
+    With ``bases`` (2D grids with N <= ``_DENSE_MAX_N``) an application is
     Q0 ((Q0^T X Q1) / (eig + s)) Q1^T on the unknowns X, one dense
     orthonormal eigenbasis Q_k per axis: four small GEMMs.  Without, it is
     ``idstn``/``ifftn`` of the transformed X over eig + s.  Per application
-    (2-vCPU VM, one BLAS thread) the GEMMs take 55-80 us on 63 x 63
-    unknowns against 120-200 us for the transforms, whose per-call overhead
-    dominates on small grids; on 127 x 127 the two tie (~0.4-0.5 ms) and on
-    255 x 255 the transforms win (2.6 ms against 3.7 ms for the GEMMs).
+    (2-vCPU VM, one BLAS thread) the GEMMs take 20-25 us at N = 32 and
+    65-75 us at N = 64 against 80-250 us for the transforms, whose per-call
+    overhead dominates on small grids, on Dirichlet, periodic and mixed
+    axes alike; at N = 128 they take 0.47-0.6 ms against 0.64-0.8 ms (about
+    a tie with two BLAS threads), and at N = 256 (Dirichlet) the transforms
+    win (2.6 ms against 3.7 ms).
     """
 
     eigenvalues: np.ndarray  # of L_h, shaped like the unknowns
@@ -412,10 +414,10 @@ class FastInverse:
     def __call__(self, r: np.ndarray, s: float) -> np.ndarray:
         x = r.reshape(self.eigenvalues.shape)
         if self.bases is not None:
-            Q0, *Q1 = self.bases  # Q1 is empty in 1D
-            x = Q0.T @ x @ Q1[0] if Q1 else Q0.T @ x
+            Q0, Q1 = self.bases
+            x = Q0.T @ x @ Q1
             x /= self.eigenvalues + s
-            return (Q0 @ x @ Q1[0].T if Q1 else Q0 @ x).ravel()
+            return (Q0 @ x @ Q1.T).ravel()
         if self.dirichlet_axes:
             x = sfft.dstn(x, type=1, axes=self.dirichlet_axes)
         if self.periodic_axes:
@@ -442,13 +444,13 @@ def fast_inverse(grid: Grid, coeffs: CoefficientField, bc: BoundarySpec) -> Fast
 
     Applies when every a_k and c are constants, there is no convection, and
     each axis is periodic or Dirichlet on both faces; the Dirichlet data may
-    be anything, it only enters the data vector.  On grids with
+    be anything, it only enters the data vector.  On 2D grids with
     N <= ``_DENSE_MAX_N`` each axis's eigenbasis is built here, once.
     """
     if coeffs.has_convection or callable(coeffs.c) or any(callable(a) for a in coeffs.a):
         return None
     N, h = grid.N, grid.h
-    dense = N <= _DENSE_MAX_N
+    dense = grid.d == 2 and N <= _DENSE_MAX_N
     eig = float(coeffs.c or 0.0)
     dirichlet_axes, periodic_axes, bases = [], [], []
     for axis in range(grid.d):

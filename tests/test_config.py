@@ -190,17 +190,22 @@ BAD_PROBLEMS = [
      r"problem.bc.x-.value: must be >= 0.0, got -50.0"),
     # arithmetic that fails: Python floats raise on constants, numpy gives nan on the nodes
     ("coefficients", {"a": ["1/0"]}, r"problem.coefficients.a\[0\]: cannot evaluate '1/0'"),
+    ("coefficients", {"a": ["1 + x + 1/0"]}, r"problem.coefficients.a\[0\]: cannot evaluate"),
     ("coefficients", {"a": ["10^400"]}, r"problem.coefficients.a\[0\]: cannot evaluate '10\^400'"),
     ("coefficients", {"c": "1e308*10"}, "problem.coefficients.c: '1e308\\*10' has a non-finite value"),
     ("bc", {"x-": {"kind": "dirichlet", "value": "2/(1 - 1)"}, "x+": {"kind": "dirichlet"}},
      r"problem.bc.x-.value: cannot evaluate"),
+    ("bc", {"x-": {"kind": "dirichlet", "value": "t + 10^400"}, "x+": {"kind": "dirichlet"}},
+     r"problem.bc.x-.value: cannot evaluate 't \+ 10\^400'"),
+    ("coefficients", {"c": "x + (-1)^0.5"}, r"problem.coefficients.c: 'x \+ \(-1\)\^0.5' has a complex value"),
     ("u0", "(-1)^0.5", r"problem.u0: '\(-1\)\^0.5' has a complex value"),
     ("u0", "(x - 1)^0.5", r"problem.u0: '\(x - 1\)\^0.5' has a non-finite value"),
 ]
 BAD_IDS = ["linear-F-expr", "linear-cstar-list", "allen-cahn-alpha", "fisher-alpha",
            "zero-cstar", "neumann-face", "unpaired-periodic", "list-face-value",
-           "negative-robin", "coef-division-by-zero", "coef-overflow", "coef-infinite",
-           "face-value-division-by-zero", "u0-complex", "u0-nan-at-nodes"]
+           "negative-robin", "coef-division-by-zero", "coef-x-division-by-zero", "coef-overflow",
+           "coef-infinite", "face-value-division-by-zero", "face-value-t-overflow",
+           "coef-x-complex", "u0-complex", "u0-nan-at-nodes"]
 
 
 def bad_problem(entry, value) -> dict:
@@ -295,6 +300,13 @@ class TestCoefficients:
         # an expression with a variable stays a callable
         doc["problem"]["coefficients"] = {"a": ["2", "1 + 0*y"]}
         assert callable(parse_config(make(doc)).problem.coeffs.a[1])
+
+    def test_infinite_at_the_origin_only_is_accepted(self):
+        # parse_config evaluates at x = y = t = 0, but a is sampled at midpoints
+        doc = json.loads(make(BASE_PDE))
+        doc["problem"]["coefficients"] = {"a": ["1/x"]}
+        a = parse_config(make(doc)).problem.coeffs.a[0]
+        np.testing.assert_allclose(a(np.array([[0.5]]), 0.0), [2.0])
 
     def test_wrong_arity(self):
         doc = json.loads(make(BASE_PDE))
