@@ -8,9 +8,12 @@ with all kappa positive and the row-sum identity
 kappa_{m,m} = sum_{j<m} kappa_{m,j} (constants are annihilated).
 
 ``march`` is the one level loop: every solver and check takes kappa_{m,m} and
-the history sum F^m = sum_{j<m} kappa_{m,j} U^j from it.  It sets up the
-mesh's step arrays once and fills each level in place; ``l1_weights`` runs
-the same level kernel, so there is one formula for the weights.
+the history sum F^m = sum_{j<m} kappa_{m,j} U^j from it.  It runs the levels in
+blocks: one panel kernel fills the weights of all of a block's levels at once,
+and the history settled before the block enters all of them through one matrix
+product.  ``l1_weights`` runs the same kernel on a one-row panel, so there is
+one formula for the weights and both give them bit for bit; F^m equals the
+whole-row product kappa_{m,0..m-1} @ U^{0..m-1} up to rounding.
 """
 
 from __future__ import annotations
@@ -47,42 +50,56 @@ class CaputoWeights:
         return float(self.kappa[self.m])
 
 
-def _l1_level(
-    nodes: np.ndarray, tau: np.ndarray, tau_g: np.ndarray, beta: float, m: int,
-    d: np.ndarray, k: np.ndarray,
-) -> float:
-    """Write level m of the L1 operator in place and return kappa_{m,m}.
+def _l1_panel(
+    nodes: np.ndarray, tau: np.ndarray, tau_g: np.ndarray, beta: float, m0: int, B: int,
+    d: np.ndarray, k: np.ndarray, lift: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Write levels m0..m0+B-1 of the L1 operator, one row per level, and return
+    the two (B, W) panels, W = m0 + B - 1, viewed from the flat buffers ``d``, ``k``.
 
-    ``tau`` holds the steps tau_j and ``tau_g`` = tau_j Gamma(2-alpha), beta = 1 - alpha;
-    both and the buffers ``d``, ``k`` have at least m entries.  On return d[:m] holds
+    ``tau`` holds the steps tau_j and ``tau_g`` = tau_j Gamma(2-alpha), beta = 1 - alpha,
+    both with at least W entries; ``d`` and ``k`` have at least B W entries, and
+    0 < ``lift`` <= min(tau[m0:W]).  On return row b (level m = m0 + b) of the d
+    panel holds, in its first m columns,
 
         d_j = [(t_m-t_{j-1})^beta - (t_m-t_j)^beta] / (tau_j Gamma(2-alpha)),  j = 1..m,
 
-    and k[:m] holds kappa_{m,0..m-1}.
+    so kappa_{m,m} = d[b, m-1], and row b of the k panel holds kappa_{m,0..m-1}.
+    Columns past a row's diagonal are scratch.  Every used entry goes through
+    the same ufunc sequence whatever B is, so a level's weights do not depend on
+    the block it was computed in.
     """
-    n = m - 1
-    hi, z = d[:n], k[:n]
-    np.subtract(nodes[m], nodes[1:m], out=hi)  # t_m - t_j, j < m
+    W = m0 + B - 1
+    hi, z = d[: B * W].reshape(B, W), k[: B * W].reshape(B, W)
+    np.subtract(nodes[m0 : m0 + B, None], nodes[1 : W + 1], out=hi)  # t_m - t_j
+    # in the trailing B x B square, from each row's diagonal on, hi <= 0; lift those
+    # scratch entries to ``lift``, which no used entry there (hi[b, j] >= tau[j + 1])
+    # lies below, so every entry stays finite and every used one unchanged
+    square = hi[:, m0 - 1 :]
+    np.maximum(square, lift, out=square)
     # lo^beta - hi^beta (lo = hi + tau_j) cancels badly whenever tau_j << hi, which in
     # turn makes the second differences kappa_{m,j} = d_{j+1} - d_j come out
     # with the wrong sign on strongly graded meshes.  The expm1/log1p form
     # hi^beta * expm1(beta * log1p(tau/hi)) is accurate to full relative
     # precision, so use it for every j with hi > 0.
-    np.divide(tau[:n], hi, out=z)
+    np.divide(tau[:W], hi, out=z)
     np.log1p(z, out=z)
     np.multiply(z, beta, out=z)
     np.expm1(z, out=z)
     np.power(hi, beta, out=hi)
     np.multiply(hi, z, out=hi)
-    # j = m has hi = 0 and lo = tau_m; an array power, as for the other j
-    np.power(tau[n:m], beta, out=d[n:m])
-    np.divide(d[:m], tau_g[:m], out=d[:m])
-    k[0] = d[0]
-    # the increments are provably nondecreasing in j; floor at zero so 1-ulp
+    # the diagonal j = m has hi = 0 and lo = tau_m; an array power, as for the other j
+    np.power(tau[m0 - 1 : W], beta, out=hi.reshape(-1)[m0 - 1 :: W + 1])
+    np.divide(hi, tau_g[:W], out=hi)
+    # kappa_{m,0} = d_1, kappa_{m,j} = d_{j+1} - d_j: differences along the flat panel,
+    # whose first column (differences across rows) is then overwritten.  The
+    # increments are provably nondecreasing in j; floor at zero so 1-ulp
     # rounding cannot produce a negative off-diagonal weight
-    np.subtract(d[1:m], d[:n], out=k[1:m])
-    np.maximum(k[1:m], 0.0, out=k[1:m])
-    return float(d[n])
+    flat_d, flat_k = d[: B * W], k[: B * W]
+    np.subtract(flat_d[1:], flat_d[:-1], out=flat_k[1:])
+    np.maximum(flat_k[1:], 0.0, out=flat_k[1:])
+    z[:, 0] = hi[:, 0]
+    return hi, z
 
 
 def _check_alpha(alpha: float) -> None:
@@ -96,28 +113,74 @@ def l1_weights(mesh: TemporalMesh, alpha: float, m: int) -> CaputoWeights:
     if not 1 <= m <= mesh.M:
         raise ValueError(f"level m must be in [1, {mesh.M}], got {m}")
     tau = np.diff(mesh.nodes[: m + 1])
-    kappa = np.empty(m + 1)
-    kappa[m] = _l1_level(mesh.nodes, tau, tau * gamma(2.0 - alpha), 1.0 - alpha, m, np.empty(m), kappa)
-    return CaputoWeights(m=m, kappa=kappa, alpha=alpha)
+    d, k = _l1_panel(
+        mesh.nodes, tau, tau * gamma(2.0 - alpha), 1.0 - alpha, m, 1, np.empty(m), np.empty(m),
+        tau[-1],
+    )
+    return CaputoWeights(m=m, kappa=np.append(k[0], d[0, m - 1]), alpha=alpha)
+
+
+def _block_rows(M: int, n: int) -> int:
+    """Levels per block for an M-level march over histories of n values a level.
+
+    A block's work arrays, two (B, M) weight panels and the (B, n) settled-history
+    sums, take at most an eighth of the (M + 1, n) history, but a block has at
+    least eight levels, so scalar histories still share the per-block set-up.
+    """
+    return min(M, max(8, (M + 1) * n // (8 * (2 * M + n))))
+
+
+# OpenBLAS runs a matrix product of at most 10^6 multiply-adds on the calling
+# thread; a larger one wakes its thread pool, whose spinning threads then burn a
+# second core through the solver's single-threaded work for no wall-time gain
+# (1D periodic Fisher solve, M = 2000, N = 256, on 2 x86 vCPUs: unsplit, CPU
+# time twice the wall time, which is no shorter than with the products split).
+_SLAB_MADDS = 10**6
+
+
+def _settled_sums(K: np.ndarray, H: np.ndarray, G: np.ndarray) -> None:
+    """G = K @ H, in slabs of H's columns of at most ``_SLAB_MADDS`` multiply-adds."""
+    if H.ndim == 1:
+        H, G = H[:, None], G[:, None]
+    cols = max(1, _SLAB_MADDS // K.size)
+    for c in range(0, H.shape[1], cols):
+        np.matmul(K, H[:, c : c + cols], out=G[:, c : c + cols])
 
 
 def march(mesh: TemporalMesh, alpha: float, U: np.ndarray):
     """Yield (m, kappa_{m,m}, F^m = kappa_{m,0..m-1} @ U[:m]) for m = 1..M; the
     caller owns the (M+1, ...) history U and writes U[m] before the next level.
 
-    The steps, tau_j Gamma(2-alpha) and two length-M work buffers are set up
-    once per call; each level is filled in place by the kernel ``l1_weights``
-    uses, so both give the same weights bit for bit.  F^m never shares the buffers.
-    Raises ValueError unless 0 < alpha < 1.
+    Levels m0..m0+B-1 run as one block (B from ``_block_rows``).  Their weights
+    only depend on the mesh, so the kernel ``l1_weights`` uses fills them as one
+    (B, m0+B-1) panel, and both give the same weights bit for bit.  U^0..U^{m0-1}
+    are settled when the block starts, so they enter all its levels through one
+    matrix product (split into column slabs only to keep BLAS on the calling
+    thread), which reads the history once per block instead of once per level.
+    Each level then adds its own at most B - 1 newer terms, so F^m equals the
+    whole-row product up to the rounding of another summation order.  F^m never
+    shares the work arrays.  Raises ValueError unless 0 < alpha < 1.
     """
     _check_alpha(alpha)
+    M = mesh.M
+    # a view, so the caller's writes show; matmul takes 1D and 2D histories as they are
+    hist = U if U.ndim <= 2 else np.reshape(U, (M + 1, -1), copy=False)
+    n = hist[0].size
     tau = mesh.steps
     tau_g = tau * gamma(2.0 - alpha)
     beta = 1.0 - alpha
-    d, k = np.empty(mesh.M), np.empty(mesh.M)
-    for m in range(1, mesh.M + 1):
-        kmm = _l1_level(mesh.nodes, tau, tau_g, beta, m, d, k)
-        yield m, kmm, k[:m] @ U[:m]
+    lift = tau.min()
+    B = _block_rows(M, n)
+    d, k, G = np.empty(B * M), np.empty(B * M), np.empty((B,) + hist.shape[1:])
+    for m0 in range(1, M + 1, B):
+        nb = min(B, M + 1 - m0)
+        dp, kp = _l1_panel(mesh.nodes, tau, tau_g, beta, m0, nb, d, k, lift)
+        _settled_sums(kp[:, :m0], hist[:m0], G[:nb])
+        for b in range(nb):
+            m = m0 + b
+            F = kp[b, m0:m] @ hist[m0:m]
+            F += G[b]
+            yield m, float(dp[b, m - 1]), F if hist is U else F.reshape(U.shape[1:])
 
 
 def history_load(weights: CaputoWeights, history) -> np.ndarray | float:

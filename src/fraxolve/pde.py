@@ -96,7 +96,6 @@ class SolutionHistory:
     residuals: list[float] = field(default_factory=list)
     lin_iters: list[int] = field(default_factory=list)  # CG iterations; 1 per direct solve
     picard_steps: list[int] = field(default_factory=list)  # after a stalled line search
-    range_ok: bool | None = None
 
 
 _CG_RTOL = 1e-13  # the floor of the CG forcing term
@@ -351,8 +350,6 @@ def range_check_pde(
     """True iff all nodal values lie in [sigma1 - slack, sigma2 + slack]."""
     if slack is None:
         slack = SolverConfig().nonlin_tol
-    ok = bool(
+    return bool(
         np.all(hist.fields >= sigma1 - slack) and np.all(hist.fields <= sigma2 + slack)
     )
-    hist.range_ok = ok
-    return ok

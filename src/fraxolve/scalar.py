@@ -67,7 +67,6 @@ class ScalarTrajectory:
     mesh: TemporalMesh
     values: np.ndarray
     newton_iters: list[int] = field(default_factory=list)
-    range_ok: bool | None = None
 
     def __post_init__(self):
         if self.values.shape[0] != self.mesh.M + 1:
@@ -162,11 +161,9 @@ def range_check(
     """True iff sigma1 - slack <= U^m <= sigma2 + slack for all m."""
     if slack is None:
         slack = _SCALAR_CFG.nonlin_tol
-    ok = bool(
+    return bool(
         np.all(traj.values >= sigma1 - slack) and np.all(traj.values <= sigma2 + slack)
     )
-    traj.range_ok = ok
-    return ok
 
 
 def error_envelope(

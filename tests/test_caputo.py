@@ -4,9 +4,21 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from fraxolve import caputo
 from fraxolve.caputo import apply_delta, history_load, l1_weights, march
 from fraxolve.mesh import TemporalMesh, build_graded
 from fraxolve.special import gamma
+
+
+EPS = np.finfo(float).eps
+
+
+def dot_bound(kappa, U):
+    """2 gamma_m (|kappa| @ |U|), gamma_m = m eps / (1 - m eps): two evaluations of
+    the m-term sum kappa @ U in any order differ by at most this."""
+    m = len(kappa)
+    gam = m * EPS / (1 - m * EPS)
+    return 2 * gam * np.tensordot(np.abs(kappa), np.abs(U), axes=1)
 
 
 def caputo_quadrature_oracle(fn, dfn, alpha, t):
@@ -181,7 +193,8 @@ class TestMarch:
         for m, kmm, F in march(mesh, alpha, U):
             w = l1_weights(mesh, alpha, m)
             assert kmm == w.diag
-            assert np.array_equal(F, w.kappa[:m] @ U[:m])
+            # F^m is summed in another order than the whole-row product
+            assert np.all(np.abs(F - w.kappa[:m] @ U[:m]) <= dot_bound(w.kappa[:m], U[:m]))
             U[m] = rng.standard_normal(5)
 
     def test_yielded_history_sum_is_not_a_reused_buffer(self):
@@ -220,6 +233,7 @@ class TestMarch:
     @pytest.mark.parametrize("shape", [(), (9,)])
     def test_matches_weights_row_by_row(self, shape):
         # the caller writes U[m] between levels; F^m is the whole-row product
+        # up to the rounding of another summation order
         rng = np.random.default_rng(7)
         mesh = build_graded(24, 1.0, 2.5)
         U = np.empty((25,) + shape)
@@ -228,7 +242,7 @@ class TestMarch:
         for m, kmm, F in march(mesh, 0.4, U):
             w = l1_weights(mesh, 0.4, m)
             assert kmm == w.diag
-            assert np.array_equal(F, w.kappa[:m] @ U[:m])
+            assert np.all(np.abs(F - w.kappa[:m] @ U[:m]) <= dot_bound(w.kappa[:m], U[:m]))
             U[m] = rng.standard_normal(shape)
             levels.append(m)
         assert levels == list(range(1, 25))
@@ -238,3 +252,67 @@ class TestMarch:
         mesh = build_graded(40, 1.0, 3.0)
         for m, kmm, F in march(mesh, 0.7, np.ones(41)):
             assert F == pytest.approx(kmm, rel=1e-12)
+
+
+PANEL_B = 4  # block size pinned by TestPanel, so block edges sit at known levels
+
+
+class TestPanel:
+    """march fills the weights a block of levels at a time; every level's weights
+    must still be the ones l1_weights gives, bit for bit, at every block edge."""
+
+    @pytest.fixture(params=["one-slab", "column-slabs"])
+    def pinned(self, request, monkeypatch):
+        monkeypatch.setattr(caputo, "_block_rows", lambda M, n: min(M, PANEL_B))
+        if request.param == "column-slabs":  # the settled sums a few history columns at a time
+            monkeypatch.setattr(caputo, "_SLAB_MADDS", 50)
+
+    @pytest.mark.parametrize("M", [1, 2, PANEL_B - 1, PANEL_B, PANEL_B + 1, 3 * PANEL_B + 2])
+    @pytest.mark.parametrize("r", [1.0, 2.5, 3.0])
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+    def test_kappa_rows_bitwise(self, pinned, alpha, r, M):
+        # with U = I every product is kappa_{m,j} * 1 and every sum adds exact
+        # zeros, so F^m is the panel's kappa row exactly
+        mesh = build_graded(M, 1.0, r)
+        U = np.eye(M + 1)
+        levels = []
+        for m, kmm, F in march(mesh, alpha, U):
+            w = l1_weights(mesh, alpha, m)
+            assert kmm == w.diag
+            assert np.array_equal(F[:m], w.kappa[:m])
+            assert not F[m:].any()
+            levels.append(m)
+        assert levels == list(range(1, M + 1))
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+    def test_kappa_rows_bitwise_at_budget_size(self, alpha):
+        # the block size march picks itself: several blocks and a short last one
+        M = 203
+        B = caputo._block_rows(M, M + 1)
+        assert 1 < B and M % B != 0 and M // B >= 3
+        mesh = build_graded(M, 1.0, 3.0)
+        for m, kmm, F in march(mesh, alpha, np.eye(M + 1)):
+            w = l1_weights(mesh, alpha, m)
+            assert kmm == w.diag
+            assert np.array_equal(F[:m], w.kappa[:m])
+
+    @pytest.mark.parametrize("shape", [(), (5,), (3, 4)])
+    def test_history_shapes(self, pinned, shape):
+        rng = np.random.default_rng(17)
+        M = 3 * PANEL_B + 2
+        mesh = build_graded(M, 1.0, 2.5)
+        U = np.empty((M + 1,) + shape)
+        U[0] = rng.standard_normal(shape)
+        for m, kmm, F in march(mesh, 0.5, U):
+            w = l1_weights(mesh, 0.5, m)
+            assert kmm == w.diag
+            assert np.shape(F) == shape
+            want = np.tensordot(w.kappa[:m], U[:m], axes=1)
+            assert np.all(np.abs(F - want) <= dot_bound(w.kappa[:m], U[:m]))
+            U[m] = rng.standard_normal(shape)
+
+    @pytest.mark.parametrize("M, n", [(1, 1), (3, 1), (2000, 256), (8000, 1), (300, 512), (64, 127**2)])
+    def test_block_rows_within_an_eighth_of_the_history(self, M, n):
+        B = caputo._block_rows(M, n)
+        assert min(M, 8) <= B <= M
+        assert B <= 8 or 8 * B * (2 * M + n) <= (M + 1) * n

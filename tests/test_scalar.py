@@ -54,8 +54,7 @@ class TestSolveScalar:
         for u0 in (-0.9, -0.2, 0.0, 0.4, 1.0):
             mesh = build_graded(64, 1.0, 2.0)
             traj = solve_scalar(f, u0, mesh, alpha)
-            assert range_check(traj, -1.0, 1.0)
-            assert traj.range_ok is True
+            assert range_check(traj, -1.0, 1.0) is True
 
     def test_fisher_range_preserved(self):
         f = builtin("fisher")

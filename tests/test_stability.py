@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fraxolve.caputo import apply_delta
+from fraxolve.caputo import apply_delta, l1_weights
 from fraxolve.mesh import TemporalMesh, build_graded
 from fraxolve.special import gamma
 from fraxolve.stability import (
@@ -181,7 +181,15 @@ class TestBarrier:
         bar = build_barrier(mesh, alpha, lam, c0=0.2)
         B = bar.values
         want = [apply_delta(mesh, alpha, B[: m + 1]) - lam * B[m] for m in range(1, 129)]
-        np.testing.assert_array_equal(bar.delta_values, want)
+        # each side sums the m + 2 terms kappa_mm B^m, -kappa_{m,j} B^j (j < m) and
+        # -lam B^m in its own order, so they differ by at most 2 gamma_{m+2} times
+        # the sum of the terms' magnitudes
+        eps = np.finfo(float).eps
+        for m in range(1, 129):
+            k = l1_weights(mesh, alpha, m).kappa
+            gam = (m + 2) * eps / (1 - (m + 2) * eps)
+            terms = (k[m] + abs(lam)) * abs(B[m]) + np.abs(k[:m]) @ np.abs(B[:m])
+            assert abs(bar.delta_values[m - 1] - want[m - 1]) <= 2 * gam * terms
 
     def test_c0_precondition(self):
         alpha, lam = 0.5, 1.0
