@@ -3,7 +3,6 @@
 Assumption tags used throughout:
   A1  one-sided Lipschitz in s: f(x,t,s1) - f(x,t,s2) >= -lam (s1 - s2) for s1 >= s2
   A2  invariant range: constants s1 <= 0 <= s2 with f(.,.,s1) <= 0 <= f(.,.,s2)
-  A1* two-sided Lipschitz with constant lam_bar >= lam
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ class Nonlinearity:
     lam: float
     deriv_s: Optional[Callable] = None
     range: Optional[tuple[float, float]] = None
-    lam_bar: Optional[float] = None
     name: str = "custom"
 
     def __post_init__(self):
@@ -67,7 +65,6 @@ def builtin(name: str, **params) -> Nonlinearity:
             deriv_s=cubic_deriv,
             lam=1.0 / a,  # min_s (3 s^2 - 1)/a = -1/a
             range=(-1.0, 1.0),
-            lam_bar=None,  # the cubic is not globally two-sided Lipschitz
             name=f"allen_cahn({a})",
         )
     if name == "fisher":
@@ -79,28 +76,23 @@ def builtin(name: str, **params) -> Nonlinearity:
             lam=1.0,  # min of 2s - 1 on [0, 1]
             name="fisher_raw",
         )
-        f = truncate(quad, 0.0, 1.0, lam=1.0)
-        return replace(f, lam_bar=1.0, name="fisher")
+        return replace(truncate(quad, 0.0, 1.0, lam=1.0), name="fisher")
     if name == "linear":
         cstar = params.pop("cstar")
         F = params.pop("F", None)
         inf_cstar = params.pop("inf_cstar", None)
-        sup_abs_cstar = params.pop("sup_abs_cstar", None)
         if params:
             raise ValueError(f"unknown parameters for linear: {sorted(params)}")
         c_fn = cstar if callable(cstar) else (lambda x, t, _c=float(cstar): _c)
         F_fn = F if callable(F) else (lambda x, t, _F=float(F or 0.0): _F)
         if inf_cstar is None and not callable(cstar):
             inf_cstar = float(cstar)
-        if sup_abs_cstar is None and not callable(cstar):
-            sup_abs_cstar = abs(float(cstar))
         if inf_cstar is None:
             raise ValueError("linear with callable cstar needs inf_cstar")
         return Nonlinearity(
             eval=lambda x, t, s: c_fn(x, t) * np.asarray(s) + F_fn(x, t),
             deriv_s=lambda x, t, s: c_fn(x, t) * np.ones_like(np.asarray(s, dtype=float)),
             lam=max(0.0, -float(inf_cstar)),
-            lam_bar=float(sup_abs_cstar) if sup_abs_cstar is not None else None,
             name="linear",
         )
     raise ValueError(f"unknown built-in nonlinearity: {name!r}")
@@ -132,16 +124,11 @@ def truncate(f: Nonlinearity, sigma1: float, sigma2: float, lam: float | None = 
             lam = max(0.0, -float(np.min(f.deriv_s(None, 0.0, ss))))
         else:
             lam = f.lam
-    lam_bar = None
-    if f.deriv_s is not None:
-        ss = np.linspace(sigma1, sigma2, 2001)
-        lam_bar = float(np.max(np.abs(f.deriv_s(None, 0.0, ss))))
     return Nonlinearity(
         eval=f_eval,
         deriv_s=f_deriv if f.deriv_s is not None else None,
         lam=lam,
         range=(sigma1, sigma2),
-        lam_bar=lam_bar,
         name=f"truncate({f.name}, [{sigma1}, {sigma2}])",
     )
 

@@ -25,16 +25,18 @@ whole linear-solve choice for (L_h + diag(shift)) x = rhs:
 * 2D (``_ShiftedMatrix``): CG preconditioned with the fast inverse
   (``spatial.fast_inverse``: four small GEMMs with dense eigenbases on
   grids with N <= 128, sine/Fourier transforms above) when there is one
-  and the matrix is provably SPD; otherwise (variable coefficients,
-  convection, Robin faces, or a matrix not provably SPD) one SuperLU
-  factorization per solve.
+  and the matrix is provably SPD; the preconditioner inverts L_h + s I
+  exactly, so the CG carries (L_h + s I) p through its recurrence and
+  applies the matrix without a sparse product.  Otherwise (variable
+  coefficients, convection, Robin faces, or a matrix not provably SPD)
+  one SuperLU factorization per solve.
 
 CG is inexact Newton (Dembo-Eisenstat-Steihaug): it stops once its
 residual is below a tenth of the Newton tolerance, not at full accuracy.
-The band, and the CSC matrix that CG and SuperLU share, are built once per
-assembled operator; a solve only rewrites the diagonal (of a copy of the
-band, which LAPACK factors in place).  A ``t``-dependent L_h is assembled
-and checked once per level, at t_m; a constant one once, at t_1.  The
+The band, and the CSC matrix of SuperLU, are built once per assembled
+operator; a solve only rewrites the diagonal (of a copy of the band,
+which LAPACK factors in place).  A ``t``-dependent L_h is assembled and
+checked once per level, at t_m; a constant one once, at t_1.  The
 Dirichlet data is evaluated once per level, for the data vector and the
 scatter.
 """
@@ -110,7 +112,9 @@ class _ShiftedMatrix:
     ``J`` has the off-diagonal entries of A and a full diagonal; a solve
     only rewrites the diagonal entries (positions ``diag_pos`` in J.data)
     with A's diagonal plus the shift, so the sparsity never changes.
-    ``fast`` is the fast inverse of A, or None.
+    ``fast`` is the fast inverse of A, or None.  The CG of the fast path
+    never multiplies by J (``_pcg``): J serves the SuperLU solve and the
+    residual a CG failure reports.
     """
 
     J: sp.csc_matrix
@@ -157,25 +161,45 @@ class _ShiftedMatrix:
         self.J.data[self.diag_pos] = self.a_diag + shift
         return self.J
 
-    def _pcg(self, shift, rhs: np.ndarray, s: float, m: int, rtol: float):
-        """CG on A + diag(shift), preconditioned by (A + s I)^{-1}, to relative residual rtol."""
-        J = self._with_shift(shift)
-        iters = 0
+    def _pcg(self, shift, rhs: np.ndarray, s: float, m: int, rtol: float) -> tuple[np.ndarray, int]:
+        """CG on A + diag(shift), preconditioned by (A + s I)^{-1}, to relative residual rtol.
 
-        def count(_):
-            nonlocal iters
-            iters += 1
-
-        pre = spla.LinearOperator(J.shape, matvec=lambda r: self.fast(r, s), dtype=float)
-        x, info = spla.cg(J, rhs, rtol=rtol, atol=0.0, maxiter=_CG_MAXITER, M=pre, callback=count)
-        if info != 0:
-            lin_res = float(np.linalg.norm(rhs - J @ x) / np.linalg.norm(rhs))
-            raise NonconvergenceError(
-                m, lin_res,
-                f"CG did not reach relative residual {rtol:.3g} in {_CG_MAXITER} "
-                f"iterations at level {m} (reached {lin_res:.3e})",
-            )
-        return x, iters
+        ``fast`` exists only where it inverts A + s I exactly, so with
+        z = (A + s I)^{-1} r the search direction p = z + beta p carries
+        w = (A + s I) p along as w = r + beta w, and the product with the
+        matrix is q = w + (shift - s) p: no matrix-vector product at all
+        (Eisenstat, SISC 1981).  The update order is scipy's ``cg``: the
+        stopping test on the recursive residual, then rho, beta, alpha, x, r.
+        """
+        apply = self.fast.at(s)
+        extra = shift - s
+        x = np.zeros_like(rhs)
+        r = rhs.copy()
+        atol = rtol * float(np.linalg.norm(rhs))
+        for k in range(_CG_MAXITER):
+            if np.linalg.norm(r) < atol:
+                return x, k
+            z = apply(r)
+            rho = np.dot(r, z)
+            if k:
+                beta = rho / rho_prev
+                p *= beta
+                p += z
+                w *= beta
+                w += r
+            else:
+                p, w = z, r.copy()
+            q = w + extra * p
+            alpha = rho / np.dot(p, q)
+            x += alpha * p
+            r -= alpha * q
+            rho_prev = rho
+        lin_res = float(np.linalg.norm(rhs - self._with_shift(shift) @ x) / np.linalg.norm(rhs))
+        raise NonconvergenceError(
+            m, lin_res,
+            f"CG did not reach relative residual {rtol:.3g} in {_CG_MAXITER} "
+            f"iterations at level {m} (reached {lin_res:.3e})",
+        )
 
 
 @dataclass

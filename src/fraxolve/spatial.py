@@ -396,7 +396,9 @@ class FastInverse:
     With ``bases`` (2D grids with N <= ``_DENSE_MAX_N``) an application is
     Q0 ((Q0^T X Q1) / (eig + s)) Q1^T on the unknowns X, one dense
     orthonormal eigenbasis Q_k per axis: four small GEMMs.  Without, it is
-    ``idstn``/``ifftn`` of the transformed X over eig + s.  Per application
+    ``idstn``/``ifftn`` of the transformed X over eig + s.  ``at(s)`` is the
+    application for one shift, which a solve reuses; ``inv(r, s)`` is
+    ``inv.at(s)(r)``.  Per application
     (2-vCPU VM, one BLAS thread) the GEMMs take 20-25 us at N = 32 and
     65-75 us at N = 64 against 80-250 us for the transforms, whose per-call
     overhead dominates on small grids, on Dirichlet, periodic and mixed
@@ -411,23 +413,36 @@ class FastInverse:
     lam_min: float  # the smallest eigenvalue
     bases: tuple[np.ndarray, ...] | None = None  # orthonormal eigenvectors, one matrix per axis
 
-    def __call__(self, r: np.ndarray, s: float) -> np.ndarray:
-        x = r.reshape(self.eigenvalues.shape)
+    def at(self, s: float) -> Callable[[np.ndarray], np.ndarray]:
+        """r -> (L_h + s I)^{-1} r for one shift s; the denominators eig + s are formed here, once."""
+        denom = self.eigenvalues + s
         if self.bases is not None:
             Q0, Q1 = self.bases
-            x = Q0.T @ x @ Q1
-            x /= self.eigenvalues + s
-            return (Q0 @ x @ Q1.T).ravel()
-        if self.dirichlet_axes:
-            x = sfft.dstn(x, type=1, axes=self.dirichlet_axes)
-        if self.periodic_axes:
-            x = sfft.fftn(x, axes=self.periodic_axes)
-        x = x / (self.eigenvalues + s)
-        if self.periodic_axes:
-            x = sfft.ifftn(x, axes=self.periodic_axes).real
-        if self.dirichlet_axes:
-            x = sfft.idstn(x, type=1, axes=self.dirichlet_axes)
-        return x.ravel()
+
+            def apply(r: np.ndarray) -> np.ndarray:
+                x = Q0.T @ r.reshape(denom.shape) @ Q1
+                x /= denom
+                return (Q0 @ x @ Q1.T).ravel()
+
+            return apply
+
+        def apply(r: np.ndarray) -> np.ndarray:
+            x = r.reshape(denom.shape)
+            if self.dirichlet_axes:
+                x = sfft.dstn(x, type=1, axes=self.dirichlet_axes)
+            if self.periodic_axes:
+                x = sfft.fftn(x, axes=self.periodic_axes)
+            x = x / denom
+            if self.periodic_axes:
+                x = sfft.ifftn(x, axes=self.periodic_axes).real
+            if self.dirichlet_axes:
+                x = sfft.idstn(x, type=1, axes=self.dirichlet_axes)
+            return x.ravel()
+
+        return apply
+
+    def __call__(self, r: np.ndarray, s: float) -> np.ndarray:
+        return self.at(s)(r)
 
 
 def _periodic_basis(N: int) -> np.ndarray:

@@ -86,6 +86,11 @@ class TestWeights:
         assert w.diag > 0
         assert w.kappa[:-1].sum() == pytest.approx(w.diag, rel=1e-11)
 
+    def test_rounded_increment_floored_at_zero(self):
+        # here d_2 - d_1 = kappa_{132,1} rounds to -2.2e-16; the floor at zero
+        # on the increments keeps every weight nonnegative
+        w = l1_weights(build_graded(256, 1.0, 8.0), 0.1, 132)
+        assert np.all(w.kappa >= 0)
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, math.nan])
     def test_alpha_outside_unit_interval_raises(self, alpha):

@@ -64,14 +64,12 @@ class TestBuiltins:
         assert f.eval(None, 0.0, -0.3) == f.eval(None, 0.0, 0.0) == 0.0
         assert f.deriv_s(None, 0.0, 1.7) == 0.0
         assert f.lam == 1.0
-        assert f.lam_bar == 1.0
         assert f.range == (0.0, 1.0)
 
     def test_linear(self):
         f = builtin("linear", cstar=-3.0, F=2.0)
         assert f.eval(None, 0.0, 1.5) == pytest.approx(-3.0 * 1.5 + 2.0)
-        assert f.lam == 3.0      # one-sided constant is -inf c*
-        assert f.lam_bar == 3.0  # two-sided constant is sup |c*|
+        assert f.lam == 3.0  # one-sided constant is -inf c*
 
     def test_linear_nonnegative_cstar_gives_lam_zero(self):
         f = builtin("linear", cstar=4.0)
@@ -83,11 +81,9 @@ class TestBuiltins:
             cstar=lambda x, t: 1.0 + t,
             F=lambda x, t: -t,
             inf_cstar=1.0,
-            sup_abs_cstar=2.0,
         )
         assert f.eval(None, 0.5, 2.0) == pytest.approx(1.5 * 2.0 - 0.5)
         assert f.lam == 0.0
-        assert f.lam_bar == 2.0
 
     def test_linear_callable_needs_inf(self):
         with pytest.raises(ValueError):
@@ -127,11 +123,9 @@ class TestTruncate:
         assert g.deriv_s(None, 0.0, 0.0) == pytest.approx(-2.0)
 
     def test_sampled_constants(self):
-        # truncated cubic on [-1,1]: lam = 1/a (min f' = -1/a at 0),
-        # lam_bar = max |f'| = 2/a at the endpoints
+        # truncated cubic on [-1,1]: lam = 1/a (min f' = -1/a at 0)
         g = truncate(builtin("allen_cahn", alpha=0.5), -1.0, 1.0)
         assert g.lam == pytest.approx(2.0, rel=1e-5)
-        assert g.lam_bar == pytest.approx(4.0, rel=1e-5)
 
     def test_bad_range(self):
         with pytest.raises(ValueError):
