@@ -211,6 +211,8 @@ def _cmd_table(args) -> int:
         "convention": "two-mesh at coincident nodes; temporal study doubles M at "
                       "fixed N, spatial study doubles N with M per the N-rule",
         "step_restriction_violations": restriction_violations(spec),
+        "newton_iters_total": sum(row["newton_iters"] for row in rows),
+        "lin_iters_total": sum(row["lin_iters"] for row in rows),
         "seconds": time.perf_counter() - t0, "artifacts": [str(csv_path)],
     })
     print(rows_to_csv(rows), end="")

@@ -221,7 +221,9 @@ def table_run(spec: TableSpec) -> list[dict]:
     Temporal/global studies double M at fixed N; spatial studies double N
     with M re-tied by the N-rule.  Runs are solved serially, in first-use
     order, each when its first row needs it, and released after its last
-    row: peak memory is about one coarse/fine pair of histories.
+    row: peak memory is about one coarse/fine pair of histories.  A row's
+    ``newton_iters`` and ``lin_iters`` total the runs it solved, so their
+    sums over the rows count each distinct run once.
     """
     est = _estimate_cost(spec)
     if est > spec.max_cost:
@@ -234,11 +236,14 @@ def table_run(spec: TableSpec) -> list[dict]:
         if (alpha, r) != series:  # a new series has no rate in its first row
             series, prev_err = (alpha, r), None
         keys = ((alpha, r) + coarse, (alpha, r) + fine)
+        newton = lin = 0
         for key, (M, N) in zip(keys, (coarse, fine)):
             if key not in live:
-                live[key] = solve_pde(
+                live[key] = sol = solve_pde(
                     spec.problem_factory(alpha), build_graded(M, 1.0, r), Grid(d=2, N=N, X=math.pi)
                 )
+                newton += sum(sol.newton_iters)
+                lin += sum(sol.lin_iters)
         rep = two_mesh_error(live[keys[0]], live[keys[1]])
         for key in keys:
             if last[key] == i:
@@ -248,6 +253,7 @@ def table_run(spec: TableSpec) -> list[dict]:
             "alpha": alpha, "r": r, "M": coarse[0], "N": coarse[1],
             "study": spec.study, "err": err,
             "rate": rate(prev_err, err) if prev_err is not None else None,
+            "newton_iters": newton, "lin_iters": lin,
         })
         prev_err = err
     return rows

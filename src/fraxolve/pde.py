@@ -16,7 +16,7 @@ clipped to the reaction's invariant range when there is one, where the
 solution lies and a truncated reaction has its derivative.
 
 Each assembled L_h passes ``spatial.check_max_principle`` (an M-matrix)
-and gets one solver object whose ``solve(shift, rhs, m, tol)`` makes the
+and gets one solver object whose ``solve(shift, rhs, m, tol, eta)`` makes the
 whole linear-solve choice for (L_h + diag(shift)) x = rhs:
 
 * 1D (``_ShiftedBand``): one banded LU (LAPACK ``dgbsv``) per solve;
@@ -31,8 +31,19 @@ whole linear-solve choice for (L_h + diag(shift)) x = rhs:
   coefficients, convection, Robin faces, or a matrix not provably SPD)
   one SuperLU factorization per solve.
 
-CG is inexact Newton (Dembo-Eisenstat-Steihaug): it stops once its
-residual is below a tenth of the Newton tolerance, not at full accuracy.
+CG is inexact Newton with a forcing term that shrinks with the Newton
+residual r_k (Dembo-Eisenstat-Steihaug, SIAM J. Numer. Anal. 1982): CG
+stops at relative residual max(eta_k, 0.1 tol / ||r_k||_2), kept within
+[1e-13, 1e-2], where eta_k = ||r_k||_inf / max(1, ||F^m||_inf) is the
+Newton residual scaled as the tolerance tol is.  The early steps of a
+level, far from U^m, are solved loosely instead of to the final accuracy
+(no "oversolving", Eisenstat-Walker, SISC 1996), and since eta_k ||r_k|| =
+O(||r_k||^2) Newton stays q-quadratic.  Once eta_k ||r_k||_2 <= 0.1 tol the
+second term takes over: the step's linear residual is then at most a tenth
+of the tolerance, as with the fixed forcing term 0.1 tol / ||r_k||_2 alone.
+The Newton loop tests the true residual against tol at every step, so a
+loose step that falls short costs one more Newton step, not accuracy.
+
 The band, and the CSC matrix of SuperLU, are built once per assembled
 operator; a solve only rewrites the diagonal (of a copy of the band,
 which LAPACK factors in place).  A ``t``-dependent L_h is assembled and
@@ -131,23 +142,33 @@ class _ShiftedMatrix:
         cols = np.repeat(np.arange(n), np.diff(J.indptr))
         return cls(J, np.flatnonzero(J.indices == cols), a_diag, fast)
 
-    def solve(self, shift, rhs: np.ndarray, m: int, tol: float) -> tuple[np.ndarray, int]:
+    def solve(
+        self, shift, rhs: np.ndarray, m: int, tol: float, eta: float = 0.0
+    ) -> tuple[np.ndarray, int]:
         """Solve (A + diag(shift)) x = rhs, rhs != 0; returns x and the linear iterations.
 
         With a fast inverse and a provably SPD matrix, min(shift) >
         -lambda_min(A), CG preconditioned by (A + s I)^{-1} at the mean
         shift s (exact for a constant shift: 1 iteration), to the
-        inexact-Newton forcing term rtol = max(1e-13, min(1e-2, 0.1 tol /
-        ||rhs||_2)): with ``tol`` the Newton tolerance on the residual's
-        inf-norm, the linear residual keeps inf-norm <= 0.1 tol (or relative
-        2-norm <= 1e-13) for any rhs.  Otherwise one SuperLU solve, counted
-        1, that ignores ``tol``; an exactly singular matrix raises
-        ``NonconvergenceError(m)``.
+        inexact-Newton forcing term
+
+            rtol = max(1e-13, min(1e-2, max(eta, 0.1 tol / ||rhs||_2))),
+
+        with ``tol`` the Newton tolerance on the residual's inf-norm and, in
+        a Newton step, ``eta = ||rhs||_inf / max(1, ||F^m||_inf)``: the
+        residual scaled as ``tol`` is (Dembo-Eisenstat-Steihaug 1982,
+        Eisenstat-Walker 1996; module docstring).  The linear residual then
+        has inf-norm <= max(eta ||rhs||_2, 0.1 tol) (or relative 2-norm <=
+        1e-13): once eta ||rhs||_2 <= 0.1 tol, and always with eta = 0, a
+        tenth of the Newton tolerance for any rhs.  Otherwise one SuperLU
+        solve, counted 1, that ignores ``tol`` and ``eta``; an exactly
+        singular matrix raises ``NonconvergenceError(m)``.
         """
         if self.fast is not None:
             lo, hi = float(np.min(shift)), float(np.max(shift))
             if lo > -self.fast.lam_min:
-                rtol = max(_CG_RTOL, min(1e-2, 0.1 * tol / float(np.linalg.norm(rhs))))
+                rtol = max(eta, 0.1 * tol / float(np.linalg.norm(rhs)))
+                rtol = max(_CG_RTOL, min(1e-2, rtol))
                 return self._pcg(shift, rhs, 0.5 * (lo + hi), m, rtol)
         try:
             lu = spla.splu(self._with_shift(shift))
@@ -235,8 +256,10 @@ class _ShiftedBand:
         band[kl + ku + row - col, col] = P.data[off]
         return cls(perm, band, P.diagonal(), kl, ku)
 
-    def solve(self, shift, rhs: np.ndarray, m: int, tol: float) -> tuple[np.ndarray, int]:
-        """(A + diag(shift))^{-1} rhs by one banded LU, counted 1; ``tol`` is unused."""
+    def solve(
+        self, shift, rhs: np.ndarray, m: int, tol: float, eta: float = 0.0
+    ) -> tuple[np.ndarray, int]:
+        """(A + diag(shift))^{-1} rhs by one banded LU, counted 1; ``tol`` and ``eta`` are unused."""
         p = self.perm
         ab = self.band.copy(order="F")
         ab[self.kl + self.ku] = self.a_diag + (shift[p] if np.ndim(shift) else shift)
@@ -276,7 +299,8 @@ def _newton_level(
     def residual(u):
         return kmm * u + A @ u + g_dir + np.asarray(f.eval(pts, t, u)) - Fm
 
-    tol = cfg.nonlin_tol * max(1.0, float(np.max(np.abs(Fm))))
+    scale = max(1.0, float(np.max(np.abs(Fm))))
+    tol = cfg.nonlin_tol * scale
     u = u_start.copy()
     res = residual(u)
     rnorm = float(np.max(np.abs(res)))
@@ -290,7 +314,8 @@ def _newton_level(
             dvals = kmm + np.asarray(f.deriv_s(pts, t, u))
         else:
             dvals = kmm  # Picard: frozen nonlinearity
-        step, n_lin = solver.solve(dvals, -res, m, tol)
+        # the CG forcing term's eta_k: the residual scaled as tol is (module docstring)
+        step, n_lin = solver.solve(dvals, -res, m, tol, rnorm / scale)
         lin_total += n_lin
         # residual-norm line search, shrink by _DAMPING down to 2^-20
         damp = 1.0
@@ -304,7 +329,7 @@ def _newton_level(
             damp *= _DAMPING
         else:
             # line search stalled; Picard step (monotone at small tau)
-            step, n_lin = solver.solve(kmm, -residual(u), m, tol)
+            step, n_lin = solver.solve(kmm, -residual(u), m, tol, rnorm / scale)
             lin_total += n_lin
             picard += 1
             u = u + step

@@ -47,7 +47,9 @@ class SolverConfig:
     The PDE path has no linear-solver knobs: each assembled operator gets one
     solver object (see :mod:`fraxolve.pde`), a banded LU in 1D and, in 2D,
     CG preconditioned by the fast inverse when the matrix is SPD and there is
-    one, else sparse LU.
+    one, else sparse LU.  That CG's stopping rule is an inexact-Newton
+    forcing term derived from ``nonlin_tol`` and the current Newton residual,
+    not a knob of its own.
     """
 
     nonlin_tol: float = 1e-10

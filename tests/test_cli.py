@@ -210,6 +210,29 @@ class TestTable:
         assert lines[0] == "alpha,r,M,N,study,err,rate"
         assert len(lines) == 1 + 4
 
+    def test_manifest_totals_count_each_run_once(self, tmp_path, monkeypatch):
+        # an M=N^2 space study shares (16, 4) between its two rows: solved,
+        # and counted, once
+        import fraxolve.cli
+        import fraxolve.harness
+        from fraxolve.harness import TableSpec
+
+        solved = []
+
+        def recording_solve(problem, mesh, grid, cfg=None):
+            solved.append(solve_pde(problem, mesh, grid, cfg))
+            return solved[-1]
+
+        spec = TableSpec(alphas=(0.5,), rs=(1.0,), Ms=(4, 16), n_rule="M=N^2", study="space")
+        monkeypatch.setattr(fraxolve.cli, "_table_spec", lambda preset, scale: spec)
+        monkeypatch.setattr(fraxolve.harness, "solve_pde", recording_solve)
+        assert main(["table", "--preset", "table1", "--out", str(tmp_path)]) == EXIT_OK
+        manifest = json.loads((tmp_path / "table1.manifest.json").read_text())
+        assert [(sol.mesh.M, sol.grid.N) for sol in solved] == [(4, 2), (16, 4), (64, 8)]
+        assert manifest["newton_iters_total"] == sum(sum(sol.newton_iters) for sol in solved) > 0
+        assert manifest["lin_iters_total"] == sum(sum(sol.lin_iters) for sol in solved) > 0
+        assert (tmp_path / "table1.csv").read_text().splitlines()[0] == "alpha,r,M,N,study,err,rate"
+
     def test_budget_error_exits_solver(self, tmp_path, monkeypatch, capsys):
         import fraxolve.cli
         from fraxolve.harness import BudgetError
