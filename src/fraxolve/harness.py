@@ -48,9 +48,6 @@ class BudgetError(RuntimeError):
 
 @dataclass
 class ErrorReport:
-    r: float | None
-    M: int
-    N: int | None
     err_final: float
     err_global: float
 
@@ -85,20 +82,16 @@ def _restrict_field(field_flat: np.ndarray, fine: Grid, stride: int) -> np.ndarr
     return f[sl].ravel()
 
 
-def _report(run, diffs: np.ndarray) -> ErrorReport:
-    """The report of ``run`` from its per-level errors ``diffs``."""
-    N = None if isinstance(run, ScalarTrajectory) else run.grid.N
-    return ErrorReport(
-        r=run.mesh.r, M=run.mesh.M, N=N,
-        err_final=float(diffs[-1]), err_global=float(diffs.max()),
-    )
+def _report(diffs: np.ndarray) -> ErrorReport:
+    """The report of the per-level errors ``diffs``."""
+    return ErrorReport(err_final=float(diffs[-1]), err_global=float(diffs.max()))
 
 
 def two_mesh_error(run_coarse, run_fine) -> ErrorReport:
     """Max nodal difference at coincident (t, x); err_final at t = T, err_global over all levels."""
     k = _nesting_stride(run_coarse.mesh, run_fine.mesh)
     if isinstance(run_coarse, ScalarTrajectory):
-        return _report(run_coarse, np.abs(run_coarse.values - run_fine.values[::k]))
+        return _report(np.abs(run_coarse.values - run_fine.values[::k]))
     ck: SolutionHistory = run_coarse
     fk: SolutionHistory = run_fine
     ks = _spatial_stride(ck.grid, fk.grid)
@@ -108,19 +101,19 @@ def two_mesh_error(run_coarse, run_fine) -> ErrorReport:
         if ks > 1:
             fine_field = _restrict_field(fine_field, fk.grid, ks)
         diffs[m] = np.max(np.abs(ck.fields[m] - fine_field))
-    return _report(ck, diffs)
+    return _report(diffs)
 
 
 def exact_error(run, exact: Callable) -> ErrorReport:
     """Errors against a supplied truth: exact(t) for scalar runs, exact(points, t) for PDE runs."""
     if isinstance(run, ScalarTrajectory):
         truth = np.array([exact(t) for t in run.mesh.nodes])
-        return _report(run, np.abs(run.values - truth))
+        return _report(np.abs(run.values - truth))
     pts = run.grid.points()
     diffs = np.empty(run.mesh.M + 1)
     for m, t in enumerate(run.mesh.nodes):
         diffs[m] = np.max(np.abs(run.fields[m] - exact(pts, t)))
-    return _report(run, diffs)
+    return _report(diffs)
 
 
 def allen_cahn_problem(alpha: float) -> Problem:

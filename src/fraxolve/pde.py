@@ -88,16 +88,11 @@ class Problem:
     coeffs: CoefficientField
     bc: BoundarySpec
     f: Nonlinearity
-    u0: Callable | np.ndarray  # u0(points) -> values, or nodal array
+    u0: Callable  # u0(points) -> values at the nodes
     alpha: float = 0.5
 
     def initial_field(self, grid: Grid) -> np.ndarray:
-        if callable(self.u0):
-            return np.asarray(self.u0(grid.points()), dtype=float)
-        u0 = np.asarray(self.u0, dtype=float).ravel()
-        if u0.size != grid.n_nodes:
-            raise ValueError("u0 array does not match grid")
-        return u0
+        return np.asarray(self.u0(grid.points()), dtype=float)
 
 
 @dataclass

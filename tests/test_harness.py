@@ -18,9 +18,9 @@ from fraxolve.harness import (
 )
 from fraxolve.mesh import build_graded
 from fraxolve.nonlinearity import builtin
-from fraxolve.pde import solve_pde
+from fraxolve.pde import Problem, solve_pde
 from fraxolve.scalar import StepRestrictionWarning, error_envelope, solve_scalar
-from fraxolve.spatial import Grid
+from fraxolve.spatial import BoundarySpec, CoefficientField, Grid
 from fraxolve.special import mittag_leffler
 
 
@@ -220,6 +220,29 @@ class TestTheoryRates:
             rates = [rate(e0, e1) for e0, e1 in zip(errs, errs[1:])]
             predicted = min(r, 2.0 - alpha)
             assert all(abs(q - predicted) <= 0.05 for q in rates), (r, rates)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
+    def test_final_time_rates_of_a_pde_problem(self, alpha):
+        # D_t^alpha u - u_xx + u = 0 on (0, pi), u0 = sin x: sin x is an exact
+        # eigenvector of L_h (eigenvalue lam_h), so E_alpha(-(lam_h + 1) t^alpha) sin x
+        # is exact at the nodes and only the temporal error is left
+        grid = Grid(1, 32, math.pi)
+        lam_h = (2.0 - 2.0 * math.cos(grid.h)) / grid.h**2
+        problem = Problem(
+            coeffs=CoefficientField(a=(1.0,)), bc=BoundarySpec.dirichlet0(1),
+            f=builtin("linear", cstar=1.0), u0=lambda pts: np.sin(pts[:, 0]), alpha=alpha,
+        )
+
+        def exact(pts, t):
+            return mittag_leffler(alpha, -(lam_h + 1.0) * t**alpha) * np.sin(pts[:, 0])
+
+        for r in (1.0, (2.0 - alpha) / alpha):
+            errs = [
+                exact_error(solve_pde(problem, build_graded(M, 1.0, r), grid), exact).err_final
+                for M in (32, 64, 128)
+            ]
+            predicted = min(r, 2.0 - alpha)
+            assert abs(rate(errs[1], errs[2]) - predicted) <= 0.1, (r, errs)
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
     def test_global_rates_follow_the_envelope(self, alpha):

@@ -778,6 +778,38 @@ class TestPredictedStart:
         assert range_check_pde(sol, 0.0, 1.0)
 
 
+class TestNewtonExits:
+    """The Newton loop's exits that the solves above never take: the step cap,
+    the acceptance after the last step, and the Picard-only reaction."""
+
+    MESH, GRID = build_graded(16, 1.0, 2.0), Grid(1, 32, math.pi)
+
+    @staticmethod
+    def _problem(f):
+        return Problem(coeffs=CoefficientField(a=(1.0,)), bc=BoundarySpec.dirichlet0(1), f=f,
+                       u0=lambda pts: 0.9 * np.sin(pts[:, 0]), alpha=0.5)
+
+    def test_step_cap_raises_at_the_first_level(self):
+        problem = self._problem(builtin("allen_cahn", alpha=0.5))
+        with pytest.raises(NonconvergenceError) as exc:
+            solve_pde(problem, self.MESH, self.GRID, SolverConfig(max_newton=1))
+        assert exc.value.level == 1
+
+    def test_linear_level_is_accepted_after_its_only_step(self):
+        # one Newton step solves a linear level; the loop ends before the
+        # residual test, which the acceptance after the loop makes
+        problem = self._problem(builtin("linear", cstar=1.0))
+        sol = solve_pde(problem, self.MESH, self.GRID, SolverConfig(max_newton=1))
+        assert sol.newton_iters == [1] * self.MESH.M
+
+    def test_reaction_without_derivative_takes_picard_steps(self):
+        f = builtin("allen_cahn", alpha=0.5)
+        newton = solve_pde(self._problem(f), self.MESH, self.GRID)
+        picard = solve_pde(self._problem(dataclasses.replace(f, deriv_s=None)), self.MESH, self.GRID)
+        np.testing.assert_allclose(picard.fields, newton.fields, rtol=0, atol=1e-9)
+        assert sum(picard.newton_iters) > 2 * sum(newton.newton_iters)  # 211 against 36
+
+
 def test_node_coordinates_once_per_operator_dirichlet_data_once_per_level(monkeypatch):
     # time-dependent Dirichlet data on a constant operator: the data vector and
     # the scatter share one evaluation per level, and no level rebuilds Grid.points

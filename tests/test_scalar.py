@@ -93,6 +93,12 @@ class TestSolveScalar:
             solve_scalar(f, 0.5, build_graded(8, 1.0, 1.0), 0.5)
         assert exc.value.level == 1
 
+    def test_newton_step_cap_raises_at_the_first_level(self):
+        f = builtin("allen_cahn", alpha=0.5)
+        with pytest.raises(NonconvergenceError) as exc:
+            solve_scalar(f, 0.9, build_graded(16, 1.0, 2.0), 0.5, SolverConfig(max_newton=1))
+        assert exc.value.level == 1
+
     def test_newton_iteration_counts(self):
         f = builtin("allen_cahn", alpha=0.5)
         mesh = build_graded(32, 1.0, 2.0)

@@ -167,6 +167,30 @@ class TestAssemble1D:
         full = op.scatter(u)
         assert full[8] == full[0]
 
+    def test_periodic_n2_sums_both_neighbours_into_one_column(self):
+        # N = 2: z + e and z - e wrap to the same node; its column holds the
+        # sum of both weights, -a/h^2 +/- b/(2h), in which b cancels
+        grid = Grid(1, 2, 1.0)  # h = 1/2: 2/h^2 = 8
+        op = assemble(grid, CoefficientField(a=(1.0,), b=(1.0,)), 0.0, BoundarySpec.all_periodic(1))
+        assert op.matrix.nnz == 4
+        np.testing.assert_array_equal(op.matrix.toarray(), [[8.0, -8.0], [-8.0, 8.0]])
+        assert op.dirichlet_coupling.shape == (2, 0)
+        assert op.duplicate_partner.tolist() == [0]
+
+    def test_robin_robin_n2_reflects_both_ghosts_onto_the_middle(self):
+        # h = 1, a = b = 1: w+ = -1 + 1/2, w- = -1 - 1/2.  Each end row's
+        # ghost joins the middle column (w+ + w- = -2) and adds -2 h mu w to
+        # the diagonal with its own side's weight: 2 + 2 * 1 * 1.5 at x- (mu 1),
+        # 2 + 2 * 0.5 * 0.5 at x+ (mu 1/2)
+        grid = Grid(1, 2, 2.0)
+        bs = BoundarySpec({"x-": BoundaryCondition("robin", 1.0), "x+": BoundaryCondition("robin", 0.5)}, 1)
+        op = assemble(grid, CoefficientField(a=(1.0,), b=(1.0,)), 0.0, bs)
+        assert op.matrix.nnz == 7
+        np.testing.assert_array_equal(
+            op.matrix.toarray(), [[5.0, -2.0, 0.0], [-1.5, 2.0, -0.5], [0.0, -2.0, 2.5]]
+        )
+        assert op.dirichlet_coupling.shape == (3, 0)
+
 
 class TestAssemble2D:
     def test_five_point_laplacian_row(self):
@@ -223,6 +247,30 @@ class TestAssemble2D:
         # constants are not in the kernel (Dirichlet faces pin them)
         v = op.matrix @ np.ones(op.n_unknown)
         assert np.max(v) > 0
+
+    def test_periodic_by_robin_robin_n2(self):
+        # x periodic, y Robin (mu 1 at y-, 1/2 at y+), h = 1, a = 1: unknowns
+        # (i, j), i in {0, 1}, j in {0, 1, 2}, in C order, so L_h = P (x) I + I (x) R
+        # with both x neighbours in one column of P and the reflected ghosts in R
+        grid = Grid(2, 2, 2.0)
+        bs = BoundarySpec(
+            {
+                "x-": BoundaryCondition("periodic"),
+                "x+": BoundaryCondition("periodic"),
+                "y-": BoundaryCondition("robin", 1.0),
+                "y+": BoundaryCondition("robin", 0.5),
+            },
+            2,
+        )
+        op = assemble(grid, CoefficientField(a=(1.0, 1.0)), 0.0, bs)
+        P = np.array([[2.0, -2.0], [-2.0, 2.0]])
+        R = np.array([[4.0, -2.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -2.0, 3.0]])
+        assert op.matrix.nnz == 20
+        np.testing.assert_array_equal(op.matrix.toarray(), np.kron(P, np.eye(3)) + np.kron(np.eye(2), R))
+        assert op.unknown_flat.tolist() == [0, 1, 2, 3, 4, 5]
+        assert op.duplicate_flat.tolist() == [6, 7, 8]
+        assert op.duplicate_partner.tolist() == [0, 1, 2]
+        assert op.dirichlet_coupling.shape == (6, 0)
 
     def test_apply_matches_matrix(self):
         grid = Grid(2, 6, 1.0)
