@@ -43,7 +43,7 @@ from .spatial import (
     assemble,
     check_max_principle,
 )
-from .special import gamma, mittag_leffler, rgamma
+from .special import gamma, mittag_leffler
 from .stability import (
     build_barrier,
     envelope_ratio,
@@ -65,7 +65,7 @@ __all__ = [
     "StepRestrictionWarning", "error_envelope", "range_check", "solve_scalar",
     "BoundaryCondition", "BoundarySpec", "CoefficientField", "Grid",
     "MaxPrincipleError", "assemble", "check_max_principle",
-    "gamma", "mittag_leffler", "rgamma",
+    "gamma", "mittag_leffler",
     "build_barrier", "envelope_ratio", "envelope_values", "long_time_check",
     "solve_resolvent",
 ]

@@ -133,6 +133,8 @@ def allen_cahn_problem(alpha: float) -> Problem:
     )
 
 
+_MAX_COST = 5e13  # table_run budget on the sum of M^2 * n_unknown over runs
+
 _N_RULES = {
     "N=2M": lambda M: 2 * M,
     "M=N^2": lambda M: int(round(math.isqrt(M))),
@@ -148,7 +150,6 @@ class TableSpec:
     n_rule: str  # key of _N_RULES
     study: str  # 'time' | 'space' | 'global'
     problem_factory: Callable = allen_cahn_problem
-    max_cost: float = 5e13  # ~ sum of M^2 * n_unknown over runs
 
     def rs_for(self, alpha: float) -> tuple:
         return tuple(self.rs(alpha)) if callable(self.rs) else tuple(self.rs)
@@ -219,8 +220,8 @@ def table_run(spec: TableSpec) -> list[dict]:
     sums over the rows count each distinct run once.
     """
     est = _estimate_cost(spec)
-    if est > spec.max_cost:
-        raise BudgetError(f"estimated cost {est:.3g} exceeds budget {spec.max_cost:.3g}")
+    if est > _MAX_COST:
+        raise BudgetError(f"estimated cost {est:.3g} exceeds budget {_MAX_COST:.3g}")
     last = _last_use(spec)
     live: dict[tuple, SolutionHistory] = {}
     rows = []

@@ -121,7 +121,6 @@ class StepRestrictionReport:
     worst_j: int
     lhs: float
     rhs: float
-    strict: bool
     passed: bool
 
 
@@ -131,9 +130,9 @@ def check_step_restriction(
     """Check lambda * tau_j^alpha <= 1/Gamma(2-alpha) for all j ("<" when strict)."""
     rhs = 1.0 / gamma(2.0 - params.alpha)
     if params.lam == 0.0:
-        return StepRestrictionReport(worst_j=1, lhs=0.0, rhs=rhs, strict=strict, passed=True)
+        return StepRestrictionReport(worst_j=1, lhs=0.0, rhs=rhs, passed=True)
     vals = params.lam * mesh.steps**params.alpha
     worst = int(np.argmax(vals)) + 1
     lhs = float(vals[worst - 1])
     passed = lhs < rhs if strict else lhs <= rhs
-    return StepRestrictionReport(worst_j=worst, lhs=lhs, rhs=rhs, strict=strict, passed=passed)
+    return StepRestrictionReport(worst_j=worst, lhs=lhs, rhs=rhs, passed=passed)

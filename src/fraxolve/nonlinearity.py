@@ -38,7 +38,7 @@ class Nonlinearity:
 
 
 def builtin(name: str, **params) -> Nonlinearity:
-    """Built-in reactions: allen_cahn(alpha), fisher, linear(cstar, F, ...).
+    """Built-in reactions: allen_cahn(alpha), fisher, linear(cstar, F = 0).
 
     Lipschitz constants of built-ins are the analytically sharp ones.
     """
@@ -78,21 +78,14 @@ def builtin(name: str, **params) -> Nonlinearity:
         )
         return replace(truncate(quad, 0.0, 1.0, lam=1.0), name="fisher")
     if name == "linear":
-        cstar = params.pop("cstar")
-        F = params.pop("F", None)
-        inf_cstar = params.pop("inf_cstar", None)
+        c = float(params.pop("cstar"))
+        F = float(params.pop("F", 0.0))
         if params:
             raise ValueError(f"unknown parameters for linear: {sorted(params)}")
-        c_fn = cstar if callable(cstar) else (lambda x, t, _c=float(cstar): _c)
-        F_fn = F if callable(F) else (lambda x, t, _F=float(F or 0.0): _F)
-        if inf_cstar is None and not callable(cstar):
-            inf_cstar = float(cstar)
-        if inf_cstar is None:
-            raise ValueError("linear with callable cstar needs inf_cstar")
         return Nonlinearity(
-            eval=lambda x, t, s: c_fn(x, t) * np.asarray(s) + F_fn(x, t),
-            deriv_s=lambda x, t, s: c_fn(x, t) * np.ones_like(np.asarray(s, dtype=float)),
-            lam=max(0.0, -float(inf_cstar)),
+            eval=lambda x, t, s: c * np.asarray(s) + F,
+            deriv_s=lambda x, t, s: c * np.ones_like(np.asarray(s, dtype=float)),
+            lam=max(0.0, -c),
             name="linear",
         )
     raise ValueError(f"unknown built-in nonlinearity: {name!r}")

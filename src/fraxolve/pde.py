@@ -324,7 +324,7 @@ def _newton_level(
             damp *= _DAMPING
         else:
             # line search stalled; Picard step (monotone at small tau)
-            step, n_lin = solver.solve(kmm, -residual(u), m, tol, rnorm / scale)
+            step, n_lin = solver.solve(kmm, -res, m, tol, rnorm / scale)
             lin_total += n_lin
             picard += 1
             u = u + step

@@ -1,8 +1,11 @@
 """The scalar problem D_t^alpha u + f(t, u) = 0 discretized level by level.
 
-Each level solves kappa_{m,m} U + f(t_m, U) = F^m.  Under the step
-restriction lam <= kappa_{m,m} the scalar map is nondecreasing, so a
-bracketing bisection is a guaranteed fallback for Newton.
+Each level solves g(U) = kappa_{m,m} U + f(t_m, U) - F^m = 0.  Under the
+step restriction lam <= kappa_{m,m} (lam tau_m^alpha <= 1/Gamma(2-alpha)
+for the L1 scheme) g is nondecreasing by A1, so the sign of g at any U
+says on which side of U the root lies.  The level's Newton iterates thus
+bracket the root themselves; a step that would leave that bracket bisects
+it instead or, while one side is still open, doubles toward the root.
 """
 
 from __future__ import annotations
@@ -92,7 +95,14 @@ def _gate_step_restriction(mesh: TemporalMesh, alpha: float, lam: float, strict:
 
 def _solve_step(f: Nonlinearity, t: float, kmm: float, F: float, u_prev: float,
                 cfg: SolverConfig, m: int):
-    """Root of g(U) = kmm U + f(t, U) - F, via safeguarded Newton."""
+    """Root of g(U) = kmm U + f(t, U) - F by Newton from ``u_prev``, one g per step.
+
+    g is nondecreasing (module docstring), so each iterate bounds the root:
+    g > 0 makes it the upper bound ``hi``, else the lower bound ``lo``.  A
+    Newton step that would not land strictly inside (lo, hi) is replaced by
+    bisection once both bounds are finite, before that by a step toward the
+    root of length 1, 2, 4, ...
+    """
 
     def g(u):
         val = kmm * u + float(f.eval(None, t, u)) - F
@@ -101,20 +111,7 @@ def _solve_step(f: Nonlinearity, t: float, kmm: float, F: float, u_prev: float,
         return val
 
     tol = cfg.nonlin_tol * max(1.0, abs(F))
-    # bracket around an affine estimate of the root, grown geometrically
-    f_prev = float(f.eval(None, t, u_prev))
-    center = (F - f_prev) / kmm
-    width = max(abs(f_prev) / kmm, abs(u_prev - center), 1.0)
-    lo, hi = center - width, center + width
-    for _ in range(200):
-        if g(lo) <= 0.0 <= g(hi):
-            break
-        width *= 2.0
-        lo, hi = center - width, center + width
-    else:
-        raise NonconvergenceError(m, np.inf, f"level {m}: failed to bracket the per-step root")
-
-    u = min(max(u_prev, lo), hi)
+    u, lo, hi, reach = u_prev, -np.inf, np.inf, 1.0
     for it in range(1, cfg.max_newton + 1):
         gu = g(u)
         if abs(gu) <= tol:
@@ -123,16 +120,15 @@ def _solve_step(f: Nonlinearity, t: float, kmm: float, F: float, u_prev: float,
             hi = u
         else:
             lo = u
-        step_taken = False
-        if f.deriv_s is not None:
-            dg = kmm + float(f.deriv_s(None, t, u))
-            if dg > 0:
-                cand = u - gu / dg
-                if lo < cand < hi:
-                    u = cand
-                    step_taken = True
-        if not step_taken:
+        dg = kmm + float(f.deriv_s(None, t, u)) if f.deriv_s is not None else 0.0
+        cand = u - gu / dg if dg > 0 else np.nan
+        if lo < cand < hi:
+            u = cand
+        elif lo > -np.inf and hi < np.inf:
             u = 0.5 * (lo + hi)
+        else:
+            u -= np.copysign(reach, gu)
+            reach *= 2.0
     gu = g(u)
     if abs(gu) <= tol:
         return u, cfg.max_newton

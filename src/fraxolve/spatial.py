@@ -354,8 +354,7 @@ class FastInverse:
     Q0 ((Q0^T X Q1) / (eig + s)) Q1^T on the unknowns X, one dense
     orthonormal eigenbasis Q_k per axis: four small GEMMs.  Without, it is
     ``idstn``/``ifftn`` of the transformed X over eig + s.  ``at(s)`` is the
-    application for one shift, which a solve reuses; ``inv(r, s)`` is
-    ``inv.at(s)(r)``.  Per application
+    application for one shift, which a solve reuses.  Per application
     (2-vCPU VM, one BLAS thread) the GEMMs take 20-25 us at N = 32 and
     65-75 us at N = 64 against 80-250 us for the transforms, whose per-call
     overhead dominates on small grids, on Dirichlet, periodic and mixed
@@ -397,9 +396,6 @@ class FastInverse:
             return x.ravel()
 
         return apply
-
-    def __call__(self, r: np.ndarray, s: float) -> np.ndarray:
-        return self.at(s)(r)
 
 
 def _periodic_basis(N: int) -> np.ndarray:

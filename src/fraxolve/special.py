@@ -1,7 +1,6 @@
 """Gamma and Mittag-Leffler evaluation for real arguments.
 
-Gamma is the standard library's ``math.gamma``; its reciprocal is
-``scipy.special.rgamma``, which is zero at the poles.
+Gamma is the standard library's ``math.gamma``.
 
 ``mittag_leffler(alpha, s)`` takes a float (and returns a float) or an
 array (and returns an array of the same shape).  Each entry of
@@ -34,7 +33,7 @@ import numpy as np
 from scipy.special import gammaln
 from scipy.special import rgamma as _rgamma
 
-__all__ = ["gamma", "rgamma", "mittag_leffler"]
+__all__ = ["gamma", "mittag_leffler"]
 
 
 def gamma(x: float) -> float:
@@ -43,11 +42,6 @@ def gamma(x: float) -> float:
     if not x > 0.0:
         raise ValueError(f"gamma requires x > 0, got {x}")
     return math.gamma(x)
-
-
-def rgamma(x: float) -> float:
-    """Reciprocal Gamma function for any real x (zero at the poles)."""
-    return float(_rgamma(x))
 
 
 _SERIES_RADIUS = 12.0  # |s| beyond which the power series is not used

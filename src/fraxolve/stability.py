@@ -65,7 +65,6 @@ def envelope_values(mesh: TemporalMesh, alpha: float, gamma_exp: float) -> np.nd
 class EnvelopeReport:
     alpha: float
     lam: float
-    gamma_exp: float
     M: int
     max_ratio: float
     gated: bool
@@ -104,7 +103,6 @@ def envelope_ratio(
     return EnvelopeReport(
         alpha=alpha,
         lam=lam,
-        gamma_exp=gamma_exp,
         M=mesh.M,
         max_ratio=float(profile.max()),
         gated=gated,
@@ -116,8 +114,6 @@ def envelope_ratio(
 class BarrierB:
     kinks: np.ndarray  # q_0..q_K (mesh points)
     cbar: float
-    c0: float
-    anchor_index: int
     values: np.ndarray
     delta_values: np.ndarray  # (delta_t^alpha - lambda) B^j, j = 1..M
     c_pos: float
@@ -188,16 +184,15 @@ def build_barrier(
     while c <= 2.0**20:
         B, dB, c_pos, ok = verify(c)
         if ok:
-            return BarrierB(kinks, c, c0, anchor_index, B, dB, c_pos, True)
+            return BarrierB(kinks, c, B, dB, c_pos, True)
         c *= 2.0
-    return BarrierB(kinks, c / 2.0, c0, anchor_index, B, dB, c_pos, False)
+    return BarrierB(kinks, c / 2.0, B, dB, c_pos, False)
 
 
 @dataclass(frozen=True)
 class LongTimeReport:
     alpha: float
     lam: float
-    lam_prime: float
     tau: float
     T: float
     sup_ratio: float
@@ -232,4 +227,4 @@ def long_time_check(
     sup_full = float(ratios.max())
     sup_half = float(ratios[: M // 2].max())
     stable = sup_full <= sup_half * (1.0 + _GROWTH_TOL)
-    return LongTimeReport(alpha, lam, lam_prime, tau, mesh.T, sup_full, sup_half, stable, ratios)
+    return LongTimeReport(alpha, lam, tau, mesh.T, sup_full, sup_half, stable, ratios)

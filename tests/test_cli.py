@@ -73,7 +73,7 @@ class TestScalar:
 
     def test_solver_failure_exit_code(self, tmp_path):
         # cstar < -kappa_mm makes the per-step map strictly decreasing, so
-        # the solver's bracketing search cannot succeed
+        # the level solve's iterates never bracket a root
         import fraxolve.scalar as scalar_mod
 
         with pytest.warns(scalar_mod.StepRestrictionWarning):

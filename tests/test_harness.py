@@ -128,7 +128,7 @@ class TestTableRun:
     def test_budget_guard(self):
         spec = TableSpec(
             alphas=(0.3, 0.5, 0.7), rs=(1.0,), Ms=(2048, 4096), n_rule="N=2M",
-            study="time", max_cost=1e6,
+            study="time",
         )
         with pytest.raises(BudgetError):
             table_run(spec)

@@ -75,20 +75,6 @@ class TestBuiltins:
         f = builtin("linear", cstar=4.0)
         assert f.lam == 0.0
 
-    def test_linear_callable_coefficients(self):
-        f = builtin(
-            "linear",
-            cstar=lambda x, t: 1.0 + t,
-            F=lambda x, t: -t,
-            inf_cstar=1.0,
-        )
-        assert f.eval(None, 0.5, 2.0) == pytest.approx(1.5 * 2.0 - 0.5)
-        assert f.lam == 0.0
-
-    def test_linear_callable_needs_inf(self):
-        with pytest.raises(ValueError):
-            builtin("linear", cstar=lambda x, t: t)
-
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             builtin("brusselator")

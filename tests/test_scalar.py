@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -117,6 +118,73 @@ class TestSolveScalar:
             if prev is not None:
                 assert np.all(traj.values >= prev - 1e-10)
             prev = traj.values
+
+
+class TestLevelSolve:
+    """The per-level Newton loop: one reaction evaluation per step, bounds from its own iterates."""
+
+    @staticmethod
+    def _counted(f):
+        calls = []
+
+        def eval_(x, t, s):
+            calls.append(s)
+            return f.eval(x, t, s)
+
+        return dataclasses.replace(f, eval=eval_), calls
+
+    @pytest.mark.parametrize(
+        "f, cfg, after_loop",
+        [
+            (builtin("allen_cahn", alpha=0.5), None, 0),
+            # max_newton=1: each level's one Newton step is exact and accepted after the loop
+            (builtin("linear", cstar=1.0, F=0.5), SolverConfig(max_newton=1), 500),
+        ],
+        ids=["allen_cahn", "after_loop"],
+    )
+    def test_one_reaction_evaluation_per_step(self, f, cfg, after_loop):
+        f, calls = self._counted(f)
+        traj = solve_scalar(f, 0.3, build_graded(500, 1.0, 3.0), 0.5, cfg)
+        assert len(calls) == sum(traj.newton_iters) + after_loop
+
+    def test_bisection_without_derivative_matches_newton(self):
+        f = builtin("allen_cahn", alpha=0.5)
+        mesh = build_graded(64, 1.0, 2.0)
+        newton = solve_scalar(f, 0.3, mesh, 0.5)
+        bisect = solve_scalar(dataclasses.replace(f, deriv_s=None), 0.3, mesh, 0.5)
+        np.testing.assert_allclose(bisect.values, newton.values, rtol=0, atol=1e-10)
+        assert sum(bisect.newton_iters) > sum(newton.newton_iters)
+
+    def test_doubling_reaches_a_far_root(self):
+        # without deriv_s the first level steps 1, 2, ..., 64 down from 500 to
+        # bracket its root near 381, then bisects: 120 unit steps would exceed max_newton
+        f = builtin("linear", cstar=1.0)
+        mesh = build_graded(8, 1.0, 1.0)
+        newton = solve_scalar(f, 500.0, mesh, 0.5)
+        assert newton.values[1] < 381.0
+        doubled = solve_scalar(dataclasses.replace(f, deriv_s=None), 500.0, mesh, 0.5)
+        np.testing.assert_allclose(doubled.values, newton.values, rtol=1e-11, atol=0)
+
+    def test_newton_overshoot_is_bisected(self):
+        # g = kmm U + 100 atan(U) - F is arctan-like: plain Newton from U = 10
+        # jumps to -59 and then to 143, past the iterate at 10 that bounds the root
+        f = Nonlinearity(
+            eval=lambda x, t, s: 100.0 * np.arctan(s),
+            deriv_s=lambda x, t, s: 100.0 / (1.0 + np.asarray(s) ** 2),
+            lam=0.0,
+        )
+        mesh = build_graded(1, 1.0, 1.0)
+        traj = solve_scalar(f, 10.0, mesh, 0.5)
+        kmm = 1.0 / math.gamma(1.5)  # tau = 1
+        u = traj.values[1]
+        assert abs(kmm * (u - 10.0) + 100.0 * math.atan(u)) <= 1e-12 * kmm * 10.0
+
+    def test_decreasing_map_raises_at_the_first_level(self):
+        # cstar = -50 < -kappa_mm: g is strictly decreasing, the loop never brackets a root
+        f = builtin("linear", cstar=-50.0)
+        with pytest.warns(StepRestrictionWarning), pytest.raises(NonconvergenceError) as exc:
+            solve_scalar(f, 1.0, build_graded(4, 1.0, 1.0), 0.5)
+        assert exc.value.level == 1
 
 
 class TestTheoryRates:

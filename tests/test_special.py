@@ -15,7 +15,6 @@ from fraxolve.special import (
     _ml_series,
     gamma,
     mittag_leffler,
-    rgamma,
 )
 
 
@@ -76,12 +75,6 @@ class TestGamma:
         for bad in (0.0, -0.5, -2.0):
             with pytest.raises(ValueError):
                 gamma(bad)
-
-    def test_rgamma_at_poles(self):
-        assert rgamma(0.0) == 0.0
-        assert rgamma(-3.0) == 0.0
-        assert rgamma(2.5) == pytest.approx(1 / math.gamma(2.5), rel=1e-13)
-        assert rgamma(-0.5) == pytest.approx(1 / (-2 * math.sqrt(math.pi)), rel=1e-12)
 
 
 class TestMittagLeffler:
