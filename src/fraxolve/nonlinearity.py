@@ -102,13 +102,15 @@ def truncate(f: Nonlinearity, sigma1: float, sigma2: float, lam: float | None = 
     if sigma1 > 0.0 or sigma2 < 0.0:
         raise ValueError("truncation range must satisfy sigma1 <= 0 <= sigma2")
 
+    # np.minimum(np.maximum(...)) is np.clip's value (but for the sign of a
+    # zero) without np.clip's three Python-level wrappers per call
     def f_eval(x, t, s):
-        return f.eval(x, t, np.clip(s, sigma1, sigma2))
+        return f.eval(x, t, np.minimum(np.maximum(s, sigma1), sigma2))
 
     def f_deriv(x, t, s):
         s = np.asarray(s, dtype=float)
         inside = (s >= sigma1) & (s <= sigma2)
-        d = f.deriv_s(x, t, np.clip(s, sigma1, sigma2))
+        d = f.deriv_s(x, t, np.minimum(np.maximum(s, sigma1), sigma2))
         return np.where(inside, d, 0.0)
 
     if lam is None:

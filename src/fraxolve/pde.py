@@ -19,9 +19,10 @@ Each assembled L_h passes ``spatial.check_max_principle`` (an M-matrix)
 and gets one solver object whose ``solve(shift, rhs, m, tol, eta)`` makes the
 whole linear-solve choice for (L_h + diag(shift)) x = rhs:
 
-* 1D (``_ShiftedBand``): one banded LU (LAPACK ``dgbsv``) per solve;
-  renumbering the unknowns 0, n-1, 1, n-2, ... makes every 1D L_h,
-  periodic or not, a band of half-width 2.
+* 1D (``_ShiftedTridiag``): one tridiagonal LU (LAPACK ``dgtsv``) per
+  solve.  A periodic L_h is tridiagonal plus two corners; the corners are
+  one Sherman-Morrison correction, whose second right-hand side goes into
+  the same ``dgtsv`` call (Temperton, J. Comput. Phys. 1975).
 * 2D (``_ShiftedMatrix``): CG preconditioned with the fast inverse
   (``spatial.fast_inverse``: four small GEMMs with dense eigenbases on
   grids with N <= 128, sine/Fourier transforms above) when there is one
@@ -44,12 +45,13 @@ of the tolerance, as with the fixed forcing term 0.1 tol / ||r_k||_2 alone.
 The Newton loop tests the true residual against tol at every step, so a
 loose step that falls short costs one more Newton step, not accuracy.
 
-The band, and the CSC matrix of SuperLU, are built once per assembled
-operator; a solve only rewrites the diagonal (of a copy of the band,
-which LAPACK factors in place).  A ``t``-dependent L_h is assembled and
-checked once per level, at t_m; a constant one once, at t_1.  The
-Dirichlet data is evaluated once per level, for the data vector and the
-scatter.
+The three diagonals and corners of a 1D L_h, and the CSC matrix of
+SuperLU, are taken once per assembled operator; a solve only rewrites the
+diagonal (of a copy, which LAPACK factors in place).  The same diagonals
+give the residual's product L_h U in 1D.  A ``t``-dependent L_h is
+assembled and checked once per level, at t_m; a constant one once, at
+t_1.  The Dirichlet data is evaluated once per level, for the data vector
+and the scatter.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import dgbsv
+from scipy.linalg.lapack import dgtsv
 
 # l1_weights and check_step_restriction are unused here: perfbench/tracing.py wraps them
 from .caputo import l1_weights, march
@@ -71,7 +73,6 @@ from .scalar import NonconvergenceError, SolverConfig, _gate_step_restriction
 from .spatial import (
     BoundarySpec,
     CoefficientField,
-    DiscreteOperator,
     FastInverse,
     Grid,
     assemble,
@@ -109,20 +110,24 @@ class SolutionHistory:
 _CG_RTOL = 1e-13  # the floor of the CG forcing term
 _CG_MAXITER = 200
 _DAMPING = 0.5  # line-search shrink factor
+# a Sherman-Morrison denominator 1 + v.z at most this times max(1, |v.z|) is rounding of 0
+_SM_EPS = 64 * np.finfo(float).eps
 
 
 @dataclass
 class _ShiftedMatrix:
     """The solver of a 2D operator A: one CSC matrix, set up once per assembled A.
 
-    ``J`` has the off-diagonal entries of A and a full diagonal; a solve
-    only rewrites the diagonal entries (positions ``diag_pos`` in J.data)
-    with A's diagonal plus the shift, so the sparsity never changes.
-    ``fast`` is the fast inverse of A, or None.  The CG of the fast path
-    never multiplies by J (``_pcg``): J serves the SuperLU solve and the
-    residual a CG failure reports.
+    ``matvec`` is the residual's product with A itself.  ``J`` has the
+    off-diagonal entries of A and a full diagonal; a solve only rewrites the
+    diagonal entries (positions ``diag_pos`` in J.data) with A's diagonal
+    plus the shift, so the sparsity never changes.  ``fast`` is the fast
+    inverse of A, or None.  The CG of the fast path never multiplies by J
+    (``_pcg``): J serves the SuperLU solve and the residual a CG failure
+    reports.
     """
 
+    A: sp.spmatrix
     J: sp.csc_matrix
     diag_pos: np.ndarray
     a_diag: np.ndarray
@@ -135,7 +140,10 @@ class _ShiftedMatrix:
         # drop A's diagonal before adding I, so no a_ii + 1 can cancel to a missing entry
         J = (A - sp.diags(a_diag) + sp.eye(n)).tocsc()
         cols = np.repeat(np.arange(n), np.diff(J.indptr))
-        return cls(J, np.flatnonzero(J.indices == cols), a_diag, fast)
+        return cls(A, J, np.flatnonzero(J.indices == cols), a_diag, fast)
+
+    def matvec(self, u: np.ndarray) -> np.ndarray:
+        return self.A @ u
 
     def solve(
         self, shift, rhs: np.ndarray, m: int, tol: float, eta: float = 0.0
@@ -219,56 +227,83 @@ class _ShiftedMatrix:
 
 
 @dataclass
-class _ShiftedBand:
-    """The solver of a 1D operator A: one LAPACK band, set up once per assembled A.
+class _ShiftedTridiag:
+    """The solver of a 1D operator A: its three diagonals and periodic corners.
 
-    The unknowns are renumbered 0, n-1, 1, n-2, 2, ... (``perm``): every
-    coupling of neighbours, the periodic one of 0 and n-1 included, is then
-    at most two places off the diagonal, so each solve is one banded LU with
-    partial pivoting (``dgbsv``).  ``band`` holds the permuted A in the
-    (2 kl + ku + 1, n) layout dgbsv factors in place, diagonal row left
-    zero; ``a_diag`` is the permuted diagonal of A.
+    ``lower[i] = A[i+1, i]``, ``diag[i] = A[i, i]``, ``upper[i] = A[i, i+1]``;
+    ``corners = (A[n-1, 0], A[0, n-1])`` on a periodic axis with n >= 3,
+    else None (at n = 2 the off-diagonals already hold both neighbours).
+    The same arrays give the residual's product A u (``matvec``) and each
+    shifted solve (``solve``).
     """
 
-    perm: np.ndarray
-    band: np.ndarray
-    a_diag: np.ndarray
-    kl: int
-    ku: int
+    lower: np.ndarray
+    diag: np.ndarray
+    upper: np.ndarray
+    corners: tuple[float, float] | None
 
     @classmethod
-    def of(cls, A: sp.spmatrix) -> "_ShiftedBand":
+    def of(cls, A: sp.csr_matrix) -> "_ShiftedTridiag":
         n = A.shape[0]
-        perm = np.empty(n, dtype=np.intp)
-        perm[0::2] = np.arange((n + 1) // 2)
-        perm[1::2] = np.arange(n - 1, (n - 1) // 2, -1)
-        P = A.tocsr()[perm][:, perm].tocoo()
-        off = P.row != P.col
-        row, col = P.row[off], P.col[off]
-        kl = int(np.max(row - col, initial=0))
-        ku = int(np.max(col - row, initial=0))
-        band = np.zeros((2 * kl + ku + 1, n), order="F")
-        band[kl + ku + row - col, col] = P.data[off]
-        return cls(perm, band, P.diagonal(), kl, ku)
+        if n == 1:  # scipy's dgtsv takes a length-1 off-diagonal at n = 1
+            return cls(np.zeros(1), A.diagonal(), np.zeros(1), None)
+        corners = None
+        if n >= 3 and (A[n - 1, 0] or A[0, n - 1]):
+            corners = (float(A[n - 1, 0]), float(A[0, n - 1]))
+        return cls(A.diagonal(-1), A.diagonal(), A.diagonal(1), corners)
+
+    def matvec(self, u: np.ndarray) -> np.ndarray:
+        """A u; each row but a periodic last one sums as A's CSR product does, bitwise equal to it."""
+        y = self.diag * u
+        y[1:] += self.lower * u[:-1]
+        y[:-1] += self.upper * u[1:]
+        if self.corners is not None:
+            y[0] += self.corners[1] * u[-1]
+            y[-1] += self.corners[0] * u[0]
+        return y
 
     def solve(
         self, shift, rhs: np.ndarray, m: int, tol: float, eta: float = 0.0
     ) -> tuple[np.ndarray, int]:
-        """(A + diag(shift))^{-1} rhs by one banded LU, counted 1; ``tol`` and ``eta`` are unused."""
-        p = self.perm
-        ab = self.band.copy(order="F")
-        ab[self.kl + self.ku] = self.a_diag + (shift[p] if np.ndim(shift) else shift)
-        _, _, x, info = dgbsv(self.kl, self.ku, ab, rhs[p], overwrite_ab=1, overwrite_b=1)
+        """(A + diag(shift))^{-1} rhs by one tridiagonal LU, counted 1; ``tol`` and ``eta`` are unused.
+
+        With corners, A + diag(shift) = T + u v^T for the tridiagonal T that
+        has d_0 - gamma and d_{n-1} - A[n-1,0] A[0,n-1] / gamma,
+        u = (gamma, 0, ..., 0, A[n-1,0]) and v = (1, 0, ..., 0, A[0,n-1] /
+        gamma).  With gamma = -d_0, T >= A + diag(shift) entrywise when the
+        latter is an M-matrix, so T is one too; at d_0 = 0 gamma is minus
+        the corners' absolute sum.  One ``dgtsv`` call solves T [y z] = [rhs u], and
+        x = y - (v.y) / (1 + v.z) z (Sherman-Morrison; Temperton, J. Comput.
+        Phys. 1975).  An exactly singular T, or a denominator 1 + v.z within
+        rounding of 0 (then A + diag(shift) is singular to working
+        precision), raises ``NonconvergenceError(m)``.
+        """
+        d = self.diag + shift
+        if self.corners is None:
+            b = rhs
+        else:
+            c_lo, c_hi = self.corners
+            gamma = -d[0] or -abs(c_lo) - abs(c_hi)
+            d[0] -= gamma
+            d[-1] -= c_lo * c_hi / gamma
+            b = np.zeros((2, d.size)).T  # Fortran order, as dgtsv takes it
+            b[:, 0] = rhs
+            b[0, 1], b[-1, 1] = gamma, c_lo
+        _, _, _, x, info = dgtsv(self.lower, d, self.upper, b, overwrite_d=1, overwrite_b=b is not rhs)
         if info != 0:
-            msg = f"singular linear system at level {m} (dgbsv info {info})"
+            raise NonconvergenceError(m, np.inf, f"singular linear system at level {m} (dgtsv info {info})")
+        if self.corners is None:
+            return x, 1
+        y, z = x[:, 0], x[:, 1]
+        vz = z[0] + c_hi / gamma * z[-1]
+        denom = 1.0 + vz
+        if abs(denom) <= _SM_EPS * max(1.0, abs(vz)):
+            msg = f"singular linear system at level {m} (Sherman-Morrison denominator {denom:.3e})"
             raise NonconvergenceError(m, np.inf, msg)
-        out = np.empty_like(x)
-        out[p] = x
-        return out, 1
+        return y - (y[0] + c_hi / gamma * y[-1]) / denom * z, 1
 
 
 def _newton_level(
-    op: DiscreteOperator,
     f: Nonlinearity,
     t: float,
     kmm: float,
@@ -278,27 +313,27 @@ def _newton_level(
     pts: np.ndarray,
     cfg: SolverConfig,
     m: int,
-    solver: _ShiftedMatrix | _ShiftedBand,
+    solver: _ShiftedMatrix | _ShiftedTridiag,
 ):
     """U^m by damped Newton on the level's residual, from ``u_start``.
 
-    ``u_start`` is U^0 at level 1 and, after it, the step-ratio
-    extrapolation clipped to ``f.range``: the clip undoes the overshoot of
-    the strongly graded first steps (module docstring).  Returns U^m, the
-    Newton steps, the final residual inf-norm (<= the tolerance
-    ``cfg.nonlin_tol * max(1, max|Fm|)``), the linear iterations and the
-    Picard steps.
+    ``solver`` serves both products of a step: L_h u in the residual
+    (``matvec``; in 1D from the tridiagonal solver's own diagonals) and the
+    solve with L_h + diag(kmm + f_s).  ``u_start`` is U^0 at level 1 and,
+    after it, the step-ratio extrapolation clipped to ``f.range``: the clip
+    undoes the overshoot of the strongly graded first steps (module
+    docstring).  Returns U^m, the Newton steps, the final residual inf-norm
+    (<= the tolerance ``cfg.nonlin_tol * max(1, max|Fm|)``), the linear
+    iterations and the Picard steps.
     """
-    A = op.matrix
-
     def residual(u):
-        return kmm * u + A @ u + g_dir + np.asarray(f.eval(pts, t, u)) - Fm
+        return kmm * u + solver.matvec(u) + g_dir + np.asarray(f.eval(pts, t, u)) - Fm
 
-    scale = max(1.0, float(np.max(np.abs(Fm))))
+    scale = max(1.0, float(np.abs(Fm).max()))
     tol = cfg.nonlin_tol * scale
     u = u_start.copy()
     res = residual(u)
-    rnorm = float(np.max(np.abs(res)))
+    rnorm = float(np.abs(res).max())
     lin_total = picard = 0
     for it in range(1, cfg.max_newton + 1):
         if not np.isfinite(rnorm):
@@ -317,7 +352,7 @@ def _newton_level(
         while damp >= 2.0**-20:
             u_new = u + damp * step
             res_new = residual(u_new)
-            rnorm_new = float(np.max(np.abs(res_new)))
+            rnorm_new = float(np.abs(res_new).max())
             if rnorm_new < rnorm or rnorm_new <= tol:
                 u, res, rnorm = u_new, res_new, rnorm_new
                 break
@@ -329,7 +364,7 @@ def _newton_level(
             picard += 1
             u = u + step
             res = residual(u)
-            rnorm = float(np.max(np.abs(res)))
+            rnorm = float(np.abs(res).max())
     if rnorm <= tol:
         return u, cfg.max_newton, rnorm, lin_total, picard
     raise NonconvergenceError(m, rnorm)
@@ -347,10 +382,10 @@ def solve_pde(
     periodic = any(problem.bc.axis_periodic(k) for k in range(grid.d))  # needs the strict form
     _gate_step_restriction(mesh, alpha, problem.f.lam, cfg.strict_restriction or periodic)
 
-    # a 1D L_h is (cyclic) tridiagonal: one banded LU per solve costs less than
-    # the set-up of SuperLU and the per-call overhead of the transforms and of CG
+    # a 1D L_h is (cyclic) tridiagonal: one tridiagonal LU per solve costs less
+    # than the set-up of SuperLU and the per-call overhead of the transforms and of CG
     if grid.d == 1:
-        solver_of = _ShiftedBand.of
+        solver_of = _ShiftedTridiag.of
     else:
         fast = fast_inverse(grid, problem.coeffs, problem.bc)
         solver_of = functools.partial(_ShiftedMatrix.of, fast=fast)
@@ -374,10 +409,11 @@ def solve_pde(
         u_start = fields[m - 1][unk]
         if m >= 2:  # step-ratio extrapolation through U^{m-2}, U^{m-1}
             u_start += (tau[m - 1] / tau[m - 2]) * (u_start - fields[m - 2][unk])
-            if s_range is not None:
-                np.clip(u_start, *s_range, out=u_start)
+            if s_range is not None:  # the ufunc pair costs less than np.clip's wrappers
+                np.maximum(u_start, s_range[0], out=u_start)
+                np.minimum(u_start, s_range[1], out=u_start)
         u, iters, rnorm, lin_it, picard = _newton_level(
-            op, problem.f, t_m, kmm, Fm, op.data_vector(g), u_start,
+            problem.f, t_m, kmm, Fm, op.data_vector(g), u_start,
             op.unknown_points, cfg, m, solver,
         )
         fields[m] = op.scatter(u, g)

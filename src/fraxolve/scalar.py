@@ -48,7 +48,7 @@ class SolverConfig:
     """Per-level nonlinear solver knobs (shared by scalar and PDE paths).
 
     The PDE path has no linear-solver knobs: each assembled operator gets one
-    solver object (see :mod:`fraxolve.pde`), a banded LU in 1D and, in 2D,
+    solver object (see :mod:`fraxolve.pde`), a tridiagonal LU in 1D and, in 2D,
     CG preconditioned by the fast inverse when the matrix is SPD and there is
     one, else sparse LU.  That CG's stopping rule is an inexact-Newton
     forcing term derived from ``nonlin_tol`` and the current Newton residual,
@@ -97,11 +97,13 @@ def _solve_step(f: Nonlinearity, t: float, kmm: float, F: float, u_prev: float,
                 cfg: SolverConfig, m: int):
     """Root of g(U) = kmm U + f(t, U) - F by Newton from ``u_prev``, one g per step.
 
-    g is nondecreasing (module docstring), so each iterate bounds the root:
-    g > 0 makes it the upper bound ``hi``, else the lower bound ``lo``.  A
-    Newton step that would not land strictly inside (lo, hi) is replaced by
-    bisection once both bounds are finite, before that by a step toward the
-    root of length 1, 2, 4, ...
+    Without ``f.deriv_s`` the slope is the secant one through the last two
+    iterates, none at the first.  g is nondecreasing (module docstring), so
+    each iterate bounds the root: g > 0 makes it the upper bound ``hi``, else
+    the lower bound ``lo``.  A step that would not land strictly inside
+    (lo, hi), or has no positive slope, is replaced by bisection once both
+    bounds are finite, before that by a step toward the root of length 1,
+    2, 4, ...
     """
 
     def g(u):
@@ -112,6 +114,7 @@ def _solve_step(f: Nonlinearity, t: float, kmm: float, F: float, u_prev: float,
 
     tol = cfg.nonlin_tol * max(1.0, abs(F))
     u, lo, hi, reach = u_prev, -np.inf, np.inf, 1.0
+    u_last = g_last = np.nan  # the previous iterate: no secant at the first
     for it in range(1, cfg.max_newton + 1):
         gu = g(u)
         if abs(gu) <= tol:
@@ -120,7 +123,11 @@ def _solve_step(f: Nonlinearity, t: float, kmm: float, F: float, u_prev: float,
             hi = u
         else:
             lo = u
-        dg = kmm + float(f.deriv_s(None, t, u)) if f.deriv_s is not None else 0.0
+        if f.deriv_s is not None:
+            dg = kmm + float(f.deriv_s(None, t, u))
+        else:
+            dg = (gu - g_last) / (u - u_last) if u != u_last else 0.0
+            u_last, g_last = u, gu
         cand = u - gu / dg if dg > 0 else np.nan
         if lo < cand < hi:
             u = cand

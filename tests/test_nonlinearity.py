@@ -117,6 +117,19 @@ class TestTruncate:
         with pytest.raises(ValueError):
             truncate(builtin("fisher"), 0.5, 1.0)
 
+    def test_clamp_takes_np_clip_values(self):
+        # the identity reaction returns the clamped argument; assert_array_equal
+        # holds NaN equal to NaN and -0.0 to +0.0, the one sign np.clip keeps
+        ident = Nonlinearity(eval=lambda x, t, s: s, deriv_s=lambda x, t, s: s, lam=0.0)
+        g = truncate(ident, 0.0, 1.0, lam=0.0)
+        s = np.array([-5.0, -0.0, 0.0, 0.25, 1.0, 7.0, np.inf, -np.inf, np.nan])
+        want = np.clip(s, 0.0, 1.0)
+        np.testing.assert_array_equal(g.eval(None, 0.0, s), want)
+        np.testing.assert_array_equal(g.deriv_s(None, 0.0, s), np.where((s >= 0.0) & (s <= 1.0), want, 0.0))
+        for v in s:  # scalar arguments, as the scalar solver passes them
+            np.testing.assert_array_equal(g.eval(None, 0.0, v), np.clip(v, 0.0, 1.0))
+        assert not np.signbit(g.eval(None, 0.0, -0.0))
+
 
 class TestVerifyAssumptions:
     def test_builtins_pass(self):

@@ -1,7 +1,9 @@
 import dataclasses
+import functools
 import json
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -507,9 +509,21 @@ def _fresh_lu(A, shift, rhs):
     return spla.splu((A + sp.diags(np.broadcast_to(shift, rhs.shape))).tocsc()).solve(rhs)
 
 
-def _fresh_band(A, shift, rhs):
-    """The banded LU solve of (A + diag(shift)) x = rhs with the band built from scratch."""
-    return fraxolve.pde._ShiftedBand.of(A).solve(shift, rhs, 1, 0.0)[0]
+def _fresh_tridiag(A, shift, rhs):
+    """The tridiagonal solve of (A + diag(shift)) x = rhs with the diagonals taken from scratch."""
+    return fraxolve.pde._ShiftedTridiag.of(A).solve(shift, rhs, 1, 0.0)[0]
+
+
+def _tridiag_dense(solver):
+    """The dense matrix that the diagonals and corners of a tridiagonal solver stand for."""
+    n = solver.diag.size
+    B = np.diag(solver.diag)
+    i = np.arange(n - 1)
+    B[i + 1, i] = solver.lower[: n - 1]
+    B[i, i + 1] = solver.upper[: n - 1]
+    if solver.corners is not None:
+        B[-1, 0], B[0, -1] = solver.corners
+    return B
 
 
 def _rel_err(x, want):
@@ -531,6 +545,8 @@ def _short_periodic(N):
 LU_OPERATORS = {
     "1d-dirichlet": lambda: assemble(Grid(1, 32, 1.0), CoefficientField(a=(1.0,)), 0.0,
                                      BoundarySpec.dirichlet0(1)),
+    "1d-dirichlet-one-unknown": lambda: assemble(Grid(1, 2, 1.0), CoefficientField(a=(1.0,)), 0.0,
+                                                 BoundarySpec.dirichlet0(1)),
     "1d-periodic": lambda: assemble(Grid(1, 32, 2.0 * math.pi),
                                     CoefficientField(a=(lambda x, t: 1.0 + 0.5 * np.sin(x[:, 0]),)),
                                     0.0, BoundarySpec.all_periodic(1)),
@@ -539,6 +555,18 @@ LU_OPERATORS = {
     "2d-variable-a": lambda: assemble(Grid(2, 12, math.pi),
                                       CoefficientField(a=(lambda x, t: 1.0 + 0.3 * np.sin(x[:, 0]), 2.0)),
                                       0.0, BoundarySpec.dirichlet0(2)),
+}
+
+
+SWEEP_OPERATORS = {  # 1D operators on N intervals, for the tridiagonal solver
+    "dirichlet": lambda N: assemble(Grid(1, N, 1.0), CoefficientField(a=(1.0,)), 0.0,
+                                    BoundarySpec.dirichlet0(1)),
+    "robin-convection": lambda N: assemble(
+        Grid(1, N, 1.0), CoefficientField(a=(lambda x, t: 1.0 + 0.5 * x[:, 0],), b=(0.7,), c=0.3),
+        0.0, _robin_bc()),
+    "periodic-convection": lambda N: assemble(
+        Grid(1, N, 2.0 * math.pi), CoefficientField(a=(lambda x, t: 1.0 + 0.5 * np.sin(x[:, 0]),), b=(0.3,)),
+        0.0, BoundarySpec.all_periodic(1)),
 }
 
 
@@ -564,25 +592,23 @@ def _fisher_1d_config(M, N=32, a="1 + 0.5*t*sin(x)"):
 
 
 class _Fresh:
-    """Stands in for the per-operator set-up: solves with A + diag(shift) built anew at every call."""
+    """Stands in for the per-operator set-up: every product and solve sets ``cls.of(A)`` up anew."""
 
-    def __init__(self, A, solve):
+    def __init__(self, cls, A):
+        self.cls = cls
         self.A = A
-        self._solve = solve
 
     def solve(self, shift, rhs, m, tol, eta):
-        return self._solve(self.A, shift, rhs), 1
+        return self.cls.of(self.A).solve(shift, rhs, m, tol, eta)
+
+    def matvec(self, u):
+        return self.cls.of(self.A).matvec(u)
 
 
-def _solve_fresh(monkeypatch, args, solve):
-    newton_level = fraxolve.pde._newton_level
-
-    def fresh_level(op, *rest):
-        # the level's own operator, its matrix set up from scratch at every solve
-        return newton_level(op, *rest[:-1], _Fresh(op.matrix, solve))
-
+def _solve_fresh(monkeypatch, args, cls):
+    # each 1D operator gets the level's own matrix, set up by cls from scratch at every call
     with monkeypatch.context() as mp:
-        mp.setattr(fraxolve.pde, "_newton_level", fresh_level)
+        mp.setattr(fraxolve.pde, "_ShiftedTridiag", types.SimpleNamespace(of=functools.partial(_Fresh, cls)))
         return solve_pde(*args)
 
 
@@ -593,15 +619,15 @@ def _same_counts(a, b):
 class TestLUPattern:
     @pytest.mark.parametrize("case", LU_OPERATORS)
     def test_bitwise_equal_to_fresh_lu(self, case):
-        # a 1D operator is solved on its band: bitwise equal to a band built
-        # for each shift, and within 1e-13 of SuperLU (a different pivot
-        # order rounds differently); a 2D one is bitwise SuperLU
+        # a 1D operator is solved on its diagonals: bitwise equal to
+        # diagonals taken for each shift, and within 1e-13 of SuperLU (a
+        # different pivot order rounds differently); a 2D one is bitwise SuperLU
         op = LU_OPERATORS[case]()
         A = op.matrix
         banded = op.grid.d == 1
-        solver = (fraxolve.pde._ShiftedBand if banded else fraxolve.pde._ShiftedMatrix).of(A)
-        if banded:  # the renumbering makes any 1D L_h pentadiagonal
-            assert solver.kl <= 2 and solver.ku <= 2
+        solver = (fraxolve.pde._ShiftedTridiag if banded else fraxolve.pde._ShiftedMatrix).of(A)
+        if banded:  # the stored diagonals and corners rebuild A exactly
+            assert np.array_equal(_tridiag_dense(solver), A.toarray())
         rng = np.random.default_rng(5)
         n = A.shape[0]
         for shift in _shifts(rng, n):
@@ -609,7 +635,7 @@ class TestLUPattern:
             x, n_lin = solver.solve(shift, rhs, 1, 1e-10)
             assert n_lin == 1
             if banded:
-                assert np.array_equal(x, _fresh_band(A, shift, rhs))
+                assert np.array_equal(x, _fresh_tridiag(A, shift, rhs))
                 assert _rel_err(x, _fresh_lu(A, shift, rhs)) <= 1e-13
             else:
                 assert np.array_equal(x, _fresh_lu(A, shift, rhs))
@@ -622,16 +648,17 @@ class TestLUPattern:
 
     def test_reassembled_operator_matches_fresh_lu_every_step(self, monkeypatch):
         # a t-dependent coefficient reassembles L_h every level; each level
-        # must factor its own operator, not the band of an earlier one:
-        # bitwise equal to a band built at every solve, within 1e-13 of SuperLU
+        # must solve with its own operator, not the diagonals of an earlier
+        # one: bitwise equal to diagonals taken at every product and solve,
+        # within 1e-13 of SuperLU
         rc = _fisher_1d_config(30)
         assert rc.problem.coeffs.time_dependent
         args = (rc.problem, rc.mesh, rc.grid, rc.solver)
         sol = solve_pde(*args)
-        fresh = _solve_fresh(monkeypatch, args, _fresh_band)
+        fresh = _solve_fresh(monkeypatch, args, fraxolve.pde._ShiftedTridiag)
         assert np.array_equal(sol.fields, fresh.fields)
         assert _same_counts(sol, fresh)
-        lu = _solve_fresh(monkeypatch, args, _fresh_lu)
+        lu = _solve_fresh(monkeypatch, args, fraxolve.pde._ShiftedMatrix)
         assert _same_counts(sol, lu)
         np.testing.assert_allclose(sol.fields, lu.fields, rtol=1e-13, atol=0)
 
@@ -680,10 +707,77 @@ class TestBandedLU:
         args = (rc.problem, rc.mesh, rc.grid, rc.solver)
         sol = solve_pde(*args)
         with monkeypatch.context() as mp:
-            mp.setattr(fraxolve.pde, "_ShiftedBand", fraxolve.pde._ShiftedMatrix)
+            mp.setattr(fraxolve.pde, "_ShiftedTridiag", fraxolve.pde._ShiftedMatrix)
             lu = solve_pde(*args)
         assert _same_counts(sol, lu)
         np.testing.assert_allclose(sol.fields, lu.fields, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("N", [2, 3, 64])
+    @pytest.mark.parametrize("kind", SWEEP_OPERATORS)
+    def test_solve_and_product_match_dense(self, kind, N):
+        # random positive Newton shifts and a scalar Picard shift: each solve
+        # backward stable (residual <= 4 eps |D| |x|; 0.62 eps measured) and
+        # within 1e-13 of a dense one; each product bitwise A @ u but in a
+        # periodic last row, which adds its corner last
+        A = SWEEP_OPERATORS[kind](N).matrix
+        n = A.shape[0]
+        solver = fraxolve.pde._ShiftedTridiag.of(A)
+        rng = np.random.default_rng(N)
+        eps = np.finfo(float).eps
+        for shift in (rng.uniform(0.5, 50.0, n), 3.7):
+            rhs = rng.standard_normal(n)
+            x, n_lin = solver.solve(shift, rhs, 1, 1e-10)
+            D = A.toarray() + np.diag(np.broadcast_to(shift, n))
+            assert n_lin == 1
+            assert np.max(np.abs(D @ x - rhs)) <= 4 * eps * np.max(np.abs(D) @ np.abs(x) + np.abs(rhs))
+            assert _rel_err(x, np.linalg.solve(D, rhs)) <= 1e-13
+            u = rng.standard_normal(n)
+            Au, y = A @ u, solver.matvec(u)
+            assert np.array_equal(y[:-1], Au[:-1])
+            assert abs(y[-1] - Au[-1]) <= 4 * eps * (abs(A) @ abs(u))[-1]
+
+    def test_singular_periodic_system_raises(self):
+        # the periodic Laplacian annihilates constants; unshifted, the
+        # Sherman-Morrison denominator cancels to rounding and a solve
+        # would return |x| ~ 3e14
+        op = assemble(Grid(1, 64, 2.0 * math.pi), CoefficientField(a=(1.0,)), 0.0,
+                      BoundarySpec.all_periodic(1))
+        solver = fraxolve.pde._ShiftedTridiag.of(op.matrix)
+        with pytest.raises(NonconvergenceError, match="singular linear system at level 3") as exc:
+            solver.solve(0.0, np.full(64, 0.5), 3, 1e-10)
+        assert exc.value.level == 3 and exc.value.residual == np.inf
+
+    def test_zero_first_diagonal_on_a_periodic_axis(self):
+        # gamma = -d_0 cannot serve when the shifted d_0 is 0: the matrix is
+        # still nonsingular, and the solve must not divide by gamma = 0
+        A = SWEEP_OPERATORS["periodic-convection"](8).matrix
+        shift = np.full(8, 5.0)
+        shift[0] = -A[0, 0]
+        rhs = np.ones(8)
+        x, _ = fraxolve.pde._ShiftedTridiag.of(A).solve(shift, rhs, 1, 1e-10)
+        assert _rel_err(x, np.linalg.solve(A.toarray() + np.diag(shift), rhs)) <= 1e-13
+
+    def test_corner_denominator_stays_away_from_zero_on_march1d(self, monkeypatch):
+        # every Sherman-Morrison denominator 1 + v.z of the march1d solve,
+        # under its step restriction: the smallest measured is 0.024, against
+        # the rounding threshold _SM_EPS ~ 1.4e-14
+        rc = _fisher_1d_config(2000, N=256, a="1 + 0.5*sin(x)")
+        A = assemble(rc.grid, rc.problem.coeffs, 0.0, rc.problem.bc).matrix
+        c_hi = fraxolve.pde._ShiftedTridiag.of(A).corners[1]
+        dgtsv = fraxolve.pde.dgtsv
+        denoms = []
+
+        def spy(dl, d, du, b, **kwargs):
+            gamma = b[0, 1]  # read before dgtsv overwrites b
+            out = dgtsv(dl, d, du, b, **kwargs)
+            z = out[3][:, 1]
+            denoms.append(1.0 + z[0] + c_hi / gamma * z[-1])
+            return out
+
+        monkeypatch.setattr(fraxolve.pde, "dgtsv", spy)
+        sol = solve_pde(rc.problem, rc.mesh, rc.grid, rc.solver)
+        assert len(denoms) == sum(sol.lin_iters) > 0
+        assert min(denoms) >= 0.01
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_singular_matrix_is_typed(self, d):
@@ -692,7 +786,7 @@ class TestBandedLU:
         # NonconvergenceError instead of LAPACK's or SuperLU's own failure
         op = assemble(Grid(d, 8, 1.0), CoefficientField(a=(1.0,) * d), 0.0, BoundarySpec.dirichlet0(d))
         A = op.matrix
-        solver = (fraxolve.pde._ShiftedBand if d == 1 else fraxolve.pde._ShiftedMatrix).of(A)
+        solver = (fraxolve.pde._ShiftedTridiag if d == 1 else fraxolve.pde._ShiftedMatrix).of(A)
         with pytest.raises(NonconvergenceError, match="singular") as exc:
             solver.solve(-A.diagonal(), np.ones(A.shape[0]), 7, 1e-10)
         assert exc.value.level == 7
@@ -762,9 +856,9 @@ class TestPredictedStart:
         starts = []
         newton_level = fraxolve.pde._newton_level
 
-        def spy(op, f, t, kmm, Fm, g_dir, u_start, *rest):
+        def spy(f, t, kmm, Fm, g_dir, u_start, *rest):
             starts.append(u_start.copy())
-            return newton_level(op, f, t, kmm, Fm, g_dir, u_start, *rest)
+            return newton_level(f, t, kmm, Fm, g_dir, u_start, *rest)
 
         monkeypatch.setattr(fraxolve.pde, "_newton_level", spy)
         problem, mesh, grid = _fisher_jump(), build_graded(16, 1.0, 5.67), Grid(1, 64, 1.0)

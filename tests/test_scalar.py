@@ -156,14 +156,36 @@ class TestLevelSolve:
         assert sum(bisect.newton_iters) > sum(newton.newton_iters)
 
     def test_doubling_reaches_a_far_root(self):
-        # without deriv_s the first level steps 1, 2, ..., 64 down from 500 to
-        # bracket its root near 381, then bisects: 120 unit steps would exceed max_newton
+        # a derivative below -kappa_mm gives no Newton step, so the first level
+        # steps 1, 2, ..., 64 down from 500 to bracket its root near 381, then
+        # bisects: 120 unit steps would exceed max_newton
         f = builtin("linear", cstar=1.0)
         mesh = build_graded(8, 1.0, 1.0)
         newton = solve_scalar(f, 500.0, mesh, 0.5)
         assert newton.values[1] < 381.0
-        doubled = solve_scalar(dataclasses.replace(f, deriv_s=None), 500.0, mesh, 0.5)
+        no_slope = dataclasses.replace(f, deriv_s=lambda x, t, s: np.full(np.shape(s), -1e6))
+        doubled = solve_scalar(no_slope, 500.0, mesh, 0.5)
         np.testing.assert_allclose(doubled.values, newton.values, rtol=1e-11, atol=0)
+
+    @pytest.mark.parametrize("u0", [50.0, 1e6])
+    def test_secant_step_without_derivative(self, u0):
+        # without deriv_s the secant slope of a linear g is exact: after the
+        # slope-less first step one secant step lands on the root (bisection
+        # alone took up to 37 steps from 50 and 49 from 1e6)
+        f = builtin("linear", cstar=1.0)
+        mesh = build_graded(64, 1.0, 2.0)
+        newton = solve_scalar(f, u0, mesh, 0.5)
+        secant = solve_scalar(dataclasses.replace(f, deriv_s=None), u0, mesh, 0.5)
+        assert max(secant.newton_iters) <= 5
+        np.testing.assert_allclose(secant.values, newton.values, rtol=1e-11, atol=1e-11)
+
+    def test_allen_cahn_without_derivative_from_a_far_start(self):
+        # bisection alone ran out of max_newton = 50 steps at level 1
+        f = builtin("allen_cahn", alpha=0.5)
+        mesh = build_graded(64, 1.0, 2.0)
+        newton = solve_scalar(f, 1000.0, mesh, 0.5)
+        secant = solve_scalar(dataclasses.replace(f, deriv_s=None), 1000.0, mesh, 0.5)
+        np.testing.assert_allclose(secant.values, newton.values, rtol=0, atol=1e-10)
 
     def test_newton_overshoot_is_bisected(self):
         # g = kmm U + 100 atan(U) - F is arctan-like: plain Newton from U = 10
