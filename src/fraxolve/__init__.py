@@ -2,6 +2,12 @@
 
 The time discretization is the L1 scheme on (quasi-)graded meshes; space is
 handled by monotone finite differences on tensor-product grids.
+
+Importing the package loads numpy only.  scipy loads with the first spatial
+operator (``spatial.assemble``, ``spatial.fast_inverse``, the solvers of
+``pde``) and in the negative-axis quadrature of ``special.mittag_leffler``,
+so a run on the time axis alone (``solve_scalar``, ``solve_resolvent``,
+``long_time_check``, ``mittag_leffler``) never imports it.
 """
 
 __version__ = "0.1.0"
@@ -23,7 +29,7 @@ from .mesh import (
     check_step_restriction,
     verify_quasi_graded,
 )
-from .nonlinearity import Nonlinearity, builtin, truncate, verify_assumptions
+from .nonlinearity import Nonlinearity, builtin, truncate
 from .pde import Problem, SolutionHistory, range_check_pde, solve_pde
 from .scalar import (
     NonconvergenceError,
@@ -45,7 +51,6 @@ from .spatial import (
 )
 from .special import gamma, mittag_leffler
 from .stability import (
-    build_barrier,
     envelope_ratio,
     envelope_values,
     long_time_check,
@@ -59,13 +64,13 @@ __all__ = [
     "table_run", "two_mesh_error",
     "FracParams", "TemporalMesh", "build_graded", "check_step_restriction",
     "verify_quasi_graded",
-    "Nonlinearity", "builtin", "truncate", "verify_assumptions",
+    "Nonlinearity", "builtin", "truncate",
     "Problem", "SolutionHistory", "range_check_pde", "solve_pde",
     "NonconvergenceError", "ScalarTrajectory", "SolverConfig",
     "StepRestrictionWarning", "error_envelope", "range_check", "solve_scalar",
     "BoundaryCondition", "BoundarySpec", "CoefficientField", "Grid",
     "MaxPrincipleError", "assemble", "check_max_principle",
     "gamma", "mittag_leffler",
-    "build_barrier", "envelope_ratio", "envelope_values", "long_time_check",
+    "envelope_ratio", "envelope_values", "long_time_check",
     "solve_resolvent",
 ]

@@ -12,7 +12,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-__all__ = ["Nonlinearity", "builtin", "truncate", "verify_assumptions", "AssumptionReport"]
+__all__ = ["Nonlinearity", "builtin", "truncate"]
 
 
 @dataclass(frozen=True)
@@ -126,54 +126,3 @@ def truncate(f: Nonlinearity, sigma1: float, sigma2: float, lam: float | None = 
         range=(sigma1, sigma2),
         name=f"truncate({f.name}, [{sigma1}, {sigma2}])",
     )
-
-
-@dataclass(frozen=True)
-class AssumptionReport:
-    a1_margin: float
-    a1_pass: bool
-    a2_margin: Optional[float]
-    a2_pass: Optional[bool]
-
-
-_N_PAIRS = 1000  # sampled (s1, s2) pairs of the A1 check
-_T_SAMPLES = (0.0, 0.5, 1.0)
-_MARGIN_TOL = 1e-10  # a margin down to -_MARGIN_TOL passes
-
-
-def verify_assumptions(
-    f: Nonlinearity, s_range: tuple[float, float] = (-2.0, 2.0)
-) -> AssumptionReport:
-    """Spot-check A1/A2 by sampling; sampling cannot prove A1, so advisory only.
-
-    A1 margin is the worst value of (secant slope + lam) over 1000 seeded
-    random pairs in ``s_range`` at t = 0, 0.5, 1 (negative means a
-    violation); A2 margin the worst sign margin at the declared range
-    endpoints.
-    """
-    rng = np.random.default_rng(0)
-    lo, hi = s_range
-    s1 = rng.uniform(lo, hi, _N_PAIRS)
-    s2 = rng.uniform(lo, hi, _N_PAIRS)
-    a, b = np.maximum(s1, s2), np.minimum(s1, s2)
-    keep = a - b > 1e-12
-    a, b = a[keep], b[keep]
-    a1_margin = np.inf
-    for t in _T_SAMPLES:
-        slopes = (np.asarray(f.eval(None, t, a)) - np.asarray(f.eval(None, t, b))) / (a - b)
-        a1_margin = min(a1_margin, float(np.min(slopes + f.lam)))
-    a1_pass = a1_margin >= -_MARGIN_TOL
-
-    a2_margin = None
-    a2_pass = None
-    if f.range is not None:
-        sig1, sig2 = f.range
-        a2_margin = np.inf
-        for t in _T_SAMPLES:
-            a2_margin = min(
-                a2_margin,
-                float(-np.max(np.atleast_1d(f.eval(None, t, sig1)))),
-                float(np.min(np.atleast_1d(f.eval(None, t, sig2)))),
-            )
-        a2_pass = a2_margin >= -_MARGIN_TOL
-    return AssumptionReport(a1_margin, a1_pass, a2_margin, a2_pass)

@@ -52,18 +52,30 @@ give the residual's product L_h U in 1D.  A ``t``-dependent L_h is
 assembled and checked once per level, at t_m; a constant one once, at
 t_1.  The Dirichlet data is evaluated once per level, for the data vector
 and the scatter.
+
+scipy is not imported with this module.  ``_ShiftedTridiag.of`` and
+``_ShiftedMatrix.of``, which run once per assembled operator, bind
+``sp`` (``scipy.sparse``), ``spla`` (``scipy.sparse.linalg``) and ``dgtsv``
+(``scipy.linalg.lapack.dgtsv``) as module globals, and reading one of them
+from outside (``fraxolve.pde.spla``) binds them too (PEP 562).  The solves
+call ``spla.splu`` and ``dgtsv`` through these globals, so
+``fraxolve.pde.spla`` and ``fraxolve.pde.dgtsv`` are the attributes to swap
+to trace or spy on them; a name swapped in before the first operator is
+kept.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import dgtsv
+
+if TYPE_CHECKING:  # bound at run time by _load_scipy (module docstring)
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+    from scipy.linalg.lapack import dgtsv
 
 # l1_weights and check_step_restriction are unused here: perfbench/tracing.py wraps them
 from .caputo import l1_weights, march
@@ -75,12 +87,18 @@ from .spatial import (
     CoefficientField,
     FastInverse,
     Grid,
+    _lazy_imports,
     assemble,
     check_max_principle,
     fast_inverse,
 )
 
 __all__ = ["Problem", "SolverConfig", "SolutionHistory", "solve_pde", "range_check_pde"]
+
+_load_scipy, __getattr__ = _lazy_imports(globals(), {
+    "sp": "scipy.sparse", "spla": "scipy.sparse.linalg", "dgtsv": "scipy.linalg.lapack:dgtsv",
+})
+
 
 @dataclass
 class Problem:
@@ -135,6 +153,7 @@ class _ShiftedMatrix:
 
     @classmethod
     def of(cls, A: sp.spmatrix, fast: FastInverse | None = None) -> "_ShiftedMatrix":
+        _load_scipy()
         n = A.shape[0]
         a_diag = A.diagonal()
         # drop A's diagonal before adding I, so no a_ii + 1 can cancel to a missing entry
@@ -244,6 +263,7 @@ class _ShiftedTridiag:
 
     @classmethod
     def of(cls, A: sp.csr_matrix) -> "_ShiftedTridiag":
+        _load_scipy()
         n = A.shape[0]
         if n == 1:  # scipy's dgtsv takes a length-1 off-diagonal at n = 1
             return cls(np.zeros(1), A.diagonal(), np.zeros(1), None)

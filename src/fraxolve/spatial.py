@@ -21,16 +21,25 @@ axes are also diagonalized by sine/Fourier modes (``fast_inverse``),
 applied as dense orthonormal eigenbases by GEMMs on 2D grids with
 N <= ``_DENSE_MAX_N`` = 128 and by sine/Fourier transforms otherwise
 (measured crossover in ``FastInverse``).
+
+scipy (``scipy.sparse`` as ``sp``, ``scipy.fft`` as ``sfft``) is not
+imported with this module: ``assemble``, ``fast_inverse`` and
+``check_max_principle`` bind both on their first call, and reading
+``fraxolve.spatial.sp`` or ``.sfft`` from outside binds them too (PEP 562).
+So a run on the time axis alone never loads scipy.
 """
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
-import scipy.fft as sfft
-import scipy.sparse as sp
+
+if TYPE_CHECKING:  # bound at run time by _load_scipy (module docstring)
+    import scipy.fft as sfft
+    import scipy.sparse as sp
 
 __all__ = [
     "Grid",
@@ -46,6 +55,35 @@ __all__ = [
 ]
 
 _FACE_NAMES = {1: ("x-", "x+"), 2: ("x-", "x+", "y-", "y+")}
+
+
+def _lazy_imports(namespace: dict, names: dict[str, str]):
+    """``(load, __getattr__)`` for module globals imported on first use.
+
+    ``names`` maps a global to ``"module"`` or ``"module:attribute"``.
+    ``load()`` binds each one ``namespace`` lacks and keeps one already
+    bound, such as a swapped-in attribute; the module's functions then read
+    the plain globals.  ``__getattr__`` (PEP 562) loads on the first read of
+    one of them from outside the module.
+    """
+
+    def load() -> None:
+        for name, target in names.items():
+            if name not in namespace:
+                module, _, attr = target.partition(":")
+                obj = importlib.import_module(module)
+                namespace[name] = getattr(obj, attr) if attr else obj
+
+    def module_getattr(name: str):
+        if name not in names:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        load()
+        return namespace[name]
+
+    return load, module_getattr
+
+
+_load_scipy, __getattr__ = _lazy_imports(globals(), {"sp": "scipy.sparse", "sfft": "scipy.fft"})
 
 
 @dataclass(frozen=True)
@@ -282,6 +320,7 @@ def assemble(
     ``matrix`` and ``dirichlet_coupling``.  a_k is sampled as the module
     docstring says, at -h/2 for index 0 on a periodic axis.
     """
+    _load_scipy()
     coeffs.validate(grid.d)
     h, N = grid.h, grid.N
     idx, role, dirichlet_face = _classify(grid, bc)
@@ -417,6 +456,7 @@ def fast_inverse(grid: Grid, coeffs: CoefficientField, bc: BoundarySpec) -> Fast
     """
     if coeffs.has_convection or callable(coeffs.c) or any(callable(a) for a in coeffs.a):
         return None
+    _load_scipy()
     N, h = grid.N, grid.h
     dense = grid.d == 2 and N <= _DENSE_MAX_N
     eig = float(coeffs.c or 0.0)
@@ -459,6 +499,7 @@ def check_max_principle(op: DiscreteOperator, level: int) -> None:
     Exact, O(nnz), on L = [matrix | dirichlet_coupling]: diagonal > 0, off-diagonals
     <= 0, row sums >= -_ROW_SUM_SLACK * diagonal (Varga, Matrix Iterative Analysis).
     """
+    _load_scipy()
     L = sp.hstack([op.matrix, op.dirichlet_coupling]).tocoo()
     node = op.grid.multi_indices()[np.concatenate([op.unknown_flat, op.dirichlet_flat])]
     diag = op.matrix.diagonal()

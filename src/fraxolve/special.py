@@ -1,6 +1,8 @@
 """Gamma and Mittag-Leffler evaluation for real arguments.
 
-Gamma is the standard library's ``math.gamma``.
+Gamma, log Gamma and 1/Gamma all come from the standard library's ``math``
+(``gamma``, ``_lgamma``, ``_rgamma``), so importing this module loads
+numpy only; scipy is not imported here, apart from the quadrature below.
 
 ``mittag_leffler(alpha, s)`` takes a float (and returns a float) or an
 array (and returns an array of the same shape).  Each entry of
@@ -30,8 +32,6 @@ import math
 import warnings
 
 import numpy as np
-from scipy.special import gammaln
-from scipy.special import rgamma as _rgamma
 
 __all__ = ["gamma", "mittag_leffler"]
 
@@ -42,6 +42,18 @@ def gamma(x: float) -> float:
     if not x > 0.0:
         raise ValueError(f"gamma requires x > 0, got {x}")
     return math.gamma(x)
+
+
+def _lgamma(x: np.ndarray) -> np.ndarray:
+    """log Gamma(x) per entry of a 1-D array of x > 0 (``math.lgamma``)."""
+    return np.array([math.lgamma(v) for v in x.tolist()], dtype=float)
+
+
+def _rgamma(x: np.ndarray) -> np.ndarray:
+    """1/Gamma(x) per entry of a 1-D array (``1 / math.gamma``): exactly 0.0 at
+    the poles 0, -1, -2, ..., where ``math.gamma`` raises."""
+    return np.array([0.0 if v <= 0.0 and v == math.floor(v) else 1.0 / math.gamma(v)
+                     for v in x.tolist()], dtype=float)
 
 
 _SERIES_RADIUS = 12.0  # |s| beyond which the power series is not used
@@ -63,7 +75,7 @@ def _series_peak_log(alpha: float, s_abs: np.ndarray) -> np.ndarray:
     """log of the largest-magnitude power-series term, per entry (|s| <= _SERIES_RADIUS)."""
     log_k = _log_peak_index(alpha, s_abs)
     k = np.exp(np.minimum(log_k, 300.0))
-    peak = k * np.log(s_abs) - gammaln(k * alpha + 1.0)
+    peak = k * np.log(s_abs) - _lgamma(k * alpha + 1.0)
     peak[log_k > 300.0] = math.inf  # beyond e^300 terms to the peak: far past any threshold
     peak[s_abs <= 1.0] = 0.0
     return peak

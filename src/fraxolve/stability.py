@@ -7,27 +7,23 @@ which needs the strict step restriction so every pivot is positive.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .caputo import l1_weights, march  # l1_weights is unused: perfbench/tracing.py wraps it
 from .mesh import TemporalMesh, build_graded
-from .special import gamma, mittag_leffler
+from .special import mittag_leffler
 
 __all__ = [
     "solve_resolvent",
     "envelope_values",
     "envelope_ratio",
-    "build_barrier",
     "long_time_check",
     "EnvelopeReport",
-    "BarrierB",
     "LongTimeReport",
 ]
 
-_BARRIER_TOL = 1e-10  # relative slack of (delta_t^alpha - lambda) B >= 0 before t_anchor + c0
 _GROWTH_TOL = 0.05  # long_time_check: allowed growth of the sup from [0, T/2] to [0, T]
 
 
@@ -108,85 +104,6 @@ def envelope_ratio(
         gated=gated,
         profile=profile,
     )
-
-
-@dataclass(frozen=True)
-class BarrierB:
-    kinks: np.ndarray  # q_0..q_K (mesh points)
-    cbar: float
-    values: np.ndarray
-    delta_values: np.ndarray  # (delta_t^alpha - lambda) B^j, j = 1..M
-    c_pos: float
-    verified: bool
-
-
-def _barrier_values(mesh: TemporalMesh, kinks: np.ndarray, cbar: float) -> np.ndarray:
-    t = mesh.nodes
-    B = np.zeros_like(t)
-    for k, q in enumerate(kinks):
-        B += cbar**k * np.maximum(0.0, t - q)
-    return B
-
-
-def build_barrier(
-    mesh: TemporalMesh,
-    alpha: float,
-    lam: float,
-    c0: float,
-    anchor_index: int = 0,
-) -> BarrierB:
-    """Piecewise-linear barrier B with kinks on mesh points.
-
-    B^j = 0 up to the anchor node, 0 <= B^j bounded, and
-    (delta_t^alpha - lambda) B^j >= 0 before t_anchor + c0 and >= c_pos > 0
-    after.  The growth base cbar is found by doubling search (the theory
-    only asserts "sufficiently large").
-    """
-    if lam > 0:
-        c0_max = 0.5 * (lam * gamma(2.0 - alpha)) ** (-1.0 / alpha)
-        if not c0 < c0_max:
-            raise ValueError(f"need c0 < {c0_max:.6g} for lambda = {lam}")
-    tau_bar = float(mesh.steps.max())
-    if tau_bar > 0.5 * c0:
-        raise ValueError(f"need max step {tau_bar:.4g} <= c0/2 = {0.5 * c0:.4g}")
-    if not 0 <= anchor_index <= mesh.M:
-        raise ValueError("anchor index out of range")
-
-    t_anchor = float(mesh.nodes[anchor_index])
-    span = mesh.T - t_anchor
-    if c0 >= span:
-        K = 0
-    else:
-        K = max(0, math.ceil(span / c0) - 2)
-    kinks = [t_anchor]
-    for k in range(1, K + 1):
-        window = (mesh.nodes >= t_anchor + c0 * k - tau_bar) & (
-            mesh.nodes <= t_anchor + c0 * k
-        )
-        if not np.any(window):
-            raise ValueError(f"no mesh point in the kink window for k = {k}")
-        kinks.append(float(mesh.nodes[np.nonzero(window)[0][-1]]))
-    kinks = np.asarray(kinks)
-
-    def verify(c: float):
-        B = _barrier_values(mesh, kinks, c)
-        dB = np.array([float(kmm * B[m] - F) - lam * B[m] for m, kmm, F in march(mesh, alpha, B)])
-        t = mesh.nodes[1:]
-        scale = max(1.0, float(np.abs(B).max()))
-        early = t < t_anchor + c0
-        ok_early = bool(np.all(dB[early] >= -_BARRIER_TOL * scale)) if early.any() else True
-        late = ~early
-        c_pos = float(dB[late].min()) if late.any() else math.inf
-        ok_late = c_pos > 0 if late.any() else True
-        return B, dB, c_pos, ok_early and ok_late
-
-    c = 2.0
-    while c <= 2.0**20:
-        B, dB, c_pos, ok = verify(c)
-        if ok:
-            return BarrierB(kinks, c, B, dB, c_pos, True)
-        c *= 2.0
-    return BarrierB(kinks, c / 2.0, B, dB, c_pos, False)
 
 
 @dataclass(frozen=True)

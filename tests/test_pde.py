@@ -2,6 +2,8 @@ import dataclasses
 import functools
 import json
 import math
+import subprocess
+import sys
 import tracemalloc
 import types
 
@@ -778,6 +780,36 @@ class TestBandedLU:
         sol = solve_pde(rc.problem, rc.mesh, rc.grid, rc.solver)
         assert len(denoms) == sum(sol.lin_iters) > 0
         assert min(denoms) >= 0.01
+
+    def test_dgtsv_swapped_before_scipy_loads_is_kept(self):
+        # a fresh interpreter: fraxolve.pde.dgtsv is set before any operator
+        # exists, so scipy is not loaded yet; the first operator binds the
+        # other scipy names and keeps the swapped one, which every solve calls
+        code = """
+import json, sys
+import fraxolve.pde
+from fraxolve.config import parse_config
+calls = []
+def spy(*args, **kwargs):
+    from scipy.linalg.lapack import dgtsv
+    calls.append(1)
+    return dgtsv(*args, **kwargs)
+fraxolve.pde.dgtsv = spy
+loaded_before = any(m.split(".")[0] == "scipy" for m in sys.modules)
+rc = parse_config(json.dumps({
+    "mesh": {"M": 8, "T": 1.0, "r": 2.0}, "grid": {"d": 1, "N": 16},
+    "problem": {"alpha": 0.4, "f": {"kind": "fisher"}, "u0": "0.5 + 0.3*cos(2*x)",
+                "coefficients": {"a": ["1"]}, "bc": {"all": "periodic"}},
+}))
+sol = fraxolve.pde.solve_pde(rc.problem, rc.mesh, rc.grid, rc.solver)
+# vars(), not the attribute: a read of fraxolve.pde.spla would itself bind it
+print(json.dumps([loaded_before, len(calls), sum(sol.lin_iters), vars(fraxolve.pde)["spla"].__name__]))
+"""
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        loaded_before, calls, lin_iters, spla_name = json.loads(out.stdout.strip().splitlines()[-1])
+        assert not loaded_before
+        assert calls == lin_iters > 0
+        assert spla_name == "scipy.sparse.linalg"
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_singular_matrix_is_typed(self, d):

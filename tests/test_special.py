@@ -1,3 +1,4 @@
+import json
 import math
 import subprocess
 import sys
@@ -8,11 +9,14 @@ import pytest
 from scipy.integrate import IntegrationWarning
 
 from fraxolve.special import (
+    _ASYMPTOTIC_TERMS,
     _FAR_RADIUS,
     _asymptotic_tail,
+    _lgamma,
     _ml_asymptotic,
     _ml_negative_quad,
     _ml_series,
+    _rgamma,
     gamma,
     mittag_leffler,
 )
@@ -75,6 +79,45 @@ class TestGamma:
         for bad in (0.0, -0.5, -2.0):
             with pytest.raises(ValueError):
                 gamma(bad)
+
+
+class TestGammaHelpers:
+    """``_rgamma`` and ``_lgamma`` against mpmath, on the arguments the module feeds them.
+
+    Each bound is the worst error measured over a wider sweep, rounded up:
+    1/math.gamma reaches 4.48 ulp on the tail grid (scipy's rgamma 2.89), and
+    math.lgamma 5.36 ulp of max(1, |log Gamma|) on k alpha + 1 (scipy's
+    gammaln 2.90).  Near the zeros of log Gamma at 1 and 2 the value itself
+    is small and any double-precision lgamma loses relative accuracy, so
+    that bound is absolute below 1.
+    """
+
+    def test_rgamma_is_exactly_zero_at_the_poles(self):
+        got = _rgamma(np.array([0.0, -1.0, -2.0, -3.0]))
+        assert got.tolist() == [0.0] * 4 and not np.signbit(got).any()
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
+    def test_rgamma_on_the_asymptotic_tail_grid(self, alpha):
+        mpmath = pytest.importorskip("mpmath")
+        x = 1.0 - alpha * np.arange(1.0, _ASYMPTOTIC_TERMS + 1.0)  # as _asymptotic_tail forms it
+        with mpmath.workprec(120):
+            for xi, got in zip(x.tolist(), _rgamma(x).tolist()):
+                want = mpmath.rgamma(mpmath.mpf(xi))
+                if want == 0:  # a pole: alpha k is exactly an integer
+                    assert got == 0.0, xi
+                else:
+                    assert float(abs(got - want)) <= 5.0 * math.ulp(float(want)), (xi, got)
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
+    def test_lgamma_up_to_the_series_peak_cap(self, alpha):
+        # _series_peak_log caps the peak index k at e^300
+        mpmath = pytest.importorskip("mpmath")
+        k = np.concatenate([np.arange(1.0, 65.0), np.exp(np.linspace(0.0, 300.0, 121))])
+        x = k * alpha + 1.0
+        with mpmath.workprec(120):
+            for xi, got in zip(x.tolist(), _lgamma(x).tolist()):
+                want = mpmath.loggamma(mpmath.mpf(xi))
+                assert float(abs(got - want)) <= 6.0 * math.ulp(max(1.0, abs(float(want)))), (xi, got)
 
 
 class TestMittagLeffler:
@@ -265,10 +308,39 @@ class TestMittagLeffler:
             np.testing.assert_allclose(_ml_series(a, s), want, rtol=1e-13, atol=0.0)
 
 
-def test_import_leaves_quadrature_unloaded():
-    # scipy.integrate (and the scipy.optimize it pulls in) load only when
-    # the negative-axis quadrature runs
-    code = ("import sys, fraxolve; "
-            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+def _scipy_loaded_after(code: str) -> list[str]:
+    """The scipy modules loaded once ``code`` has run in a fresh interpreter."""
+    code += "\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+_TIME_AXIS_RUN = """
+import fraxolve
+from fraxolve import build_graded, builtin, long_time_check, mittag_leffler, solve_resolvent, solve_scalar
+mesh = build_graded(200, 1.0, 3.0)
+solve_scalar(builtin("allen_cahn", alpha=0.5), 0.5, mesh, 0.5)
+solve_resolvent(mesh, 0.5, 1.0, [1.0] * mesh.M)
+long_time_check(0.5, 1.0, 2.0, tau=0.25, T=10.0)
+mittag_leffler(0.5, [2.0, 20.0, -2e6])  # the series, the positive and the far negative expansion
+"""
+
+
+def test_time_axis_run_loads_no_scipy():
+    assert _scipy_loaded_after(_TIME_AXIS_RUN) == []
+
+
+def test_first_spatial_operator_loads_scipy_sparse():
+    # the converse, so the test above cannot pass for want of a working probe
+    loaded = _scipy_loaded_after(_TIME_AXIS_RUN + """
+from fraxolve import BoundarySpec, CoefficientField, Grid, assemble
+assemble(Grid(1, 8, 1.0), CoefficientField(a=(1.0,)), 0.0, BoundarySpec.dirichlet0(1))
+""")
+    assert "scipy.sparse" in loaded
+    assert "scipy.integrate" not in loaded
+
+
+def test_negative_axis_quadrature_loads_scipy_integrate():
+    assert "scipy.integrate" in _scipy_loaded_after(
+        "from fraxolve import mittag_leffler\nmittag_leffler(0.5, -50.0)"
+    )

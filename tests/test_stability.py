@@ -1,13 +1,13 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from fraxolve.caputo import apply_delta, l1_weights
+from fraxolve.caputo import apply_delta, l1_weights, march
 from fraxolve.mesh import TemporalMesh, build_graded
 from fraxolve.special import gamma
 from fraxolve.stability import (
-    build_barrier,
     envelope_ratio,
     envelope_values,
     long_time_check,
@@ -140,6 +140,91 @@ class TestEnvelopeRatio:
         assert rep.M == 8
         assert rep.profile.shape == (8,)
         assert rep.max_ratio == pytest.approx(float(rep.profile.max()))
+
+
+# The piecewise-linear barrier of the stability proof, built and checked
+# numerically.  Only these tests use it, so it lives here.
+
+_BARRIER_TOL = 1e-10  # relative slack of (delta_t^alpha - lambda) B >= 0 before t_anchor + c0
+
+
+@dataclass(frozen=True)
+class BarrierB:
+    kinks: np.ndarray  # q_0..q_K (mesh points)
+    cbar: float
+    values: np.ndarray
+    delta_values: np.ndarray  # (delta_t^alpha - lambda) B^j, j = 1..M
+    c_pos: float
+    verified: bool
+
+
+def _barrier_values(mesh: TemporalMesh, kinks: np.ndarray, cbar: float) -> np.ndarray:
+    t = mesh.nodes
+    B = np.zeros_like(t)
+    for k, q in enumerate(kinks):
+        B += cbar**k * np.maximum(0.0, t - q)
+    return B
+
+
+def build_barrier(
+    mesh: TemporalMesh,
+    alpha: float,
+    lam: float,
+    c0: float,
+    anchor_index: int = 0,
+) -> BarrierB:
+    """Piecewise-linear barrier B with kinks on mesh points.
+
+    B^j = 0 up to the anchor node, 0 <= B^j bounded, and
+    (delta_t^alpha - lambda) B^j >= 0 before t_anchor + c0 and >= c_pos > 0
+    after.  The growth base cbar is found by doubling search (the theory
+    only asserts "sufficiently large").
+    """
+    if lam > 0:
+        c0_max = 0.5 * (lam * gamma(2.0 - alpha)) ** (-1.0 / alpha)
+        if not c0 < c0_max:
+            raise ValueError(f"need c0 < {c0_max:.6g} for lambda = {lam}")
+    tau_bar = float(mesh.steps.max())
+    if tau_bar > 0.5 * c0:
+        raise ValueError(f"need max step {tau_bar:.4g} <= c0/2 = {0.5 * c0:.4g}")
+    if not 0 <= anchor_index <= mesh.M:
+        raise ValueError("anchor index out of range")
+
+    t_anchor = float(mesh.nodes[anchor_index])
+    span = mesh.T - t_anchor
+    if c0 >= span:
+        K = 0
+    else:
+        K = max(0, math.ceil(span / c0) - 2)
+    kinks = [t_anchor]
+    for k in range(1, K + 1):
+        window = (mesh.nodes >= t_anchor + c0 * k - tau_bar) & (
+            mesh.nodes <= t_anchor + c0 * k
+        )
+        if not np.any(window):
+            raise ValueError(f"no mesh point in the kink window for k = {k}")
+        kinks.append(float(mesh.nodes[np.nonzero(window)[0][-1]]))
+    kinks = np.asarray(kinks)
+
+    def verify(c: float):
+        B = _barrier_values(mesh, kinks, c)
+        dB = np.array([float(kmm * B[m] - F) - lam * B[m] for m, kmm, F in march(mesh, alpha, B)])
+        t = mesh.nodes[1:]
+        scale = max(1.0, float(np.abs(B).max()))
+        early = t < t_anchor + c0
+        ok_early = bool(np.all(dB[early] >= -_BARRIER_TOL * scale)) if early.any() else True
+        late = ~early
+        c_pos = float(dB[late].min()) if late.any() else math.inf
+        ok_late = c_pos > 0 if late.any() else True
+        return B, dB, c_pos, ok_early and ok_late
+
+    c = 2.0
+    while c <= 2.0**20:
+        B, dB, c_pos, ok = verify(c)
+        if ok:
+            return BarrierB(kinks, c, B, dB, c_pos, True)
+        c *= 2.0
+    return BarrierB(kinks, c / 2.0, B, dB, c_pos, False)
 
 
 class TestBarrier:
