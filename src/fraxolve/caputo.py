@@ -11,9 +11,10 @@ kappa_{m,m} = sum_{j<m} kappa_{m,j} (constants are annihilated).
 the history sum F^m = sum_{j<m} kappa_{m,j} U^j from it.  It runs the levels in
 blocks: one panel kernel fills the weights of all of a block's levels at once,
 and the history settled before the block enters all of them through one matrix
-product.  ``l1_weights`` runs the same kernel on a one-row panel, so there is
-one formula for the weights and both give them bit for bit; F^m equals the
-whole-row product kappa_{m,0..m-1} @ U^{0..m-1} up to rounding.
+product, cut into slabs along the longer of the history's two dimensions (see
+``_settled_sums``).  ``l1_weights`` runs the same kernel on a one-row panel,
+so there is one formula for the weights and both give them bit for bit; F^m
+equals the whole-row product kappa_{m,0..m-1} @ U^{0..m-1} up to rounding.
 """
 
 from __future__ import annotations
@@ -130,20 +131,45 @@ def _block_rows(M: int, n: int) -> int:
     return min(M, max(8, (M + 1) * n // (8 * (2 * M + n))))
 
 
-# OpenBLAS runs a matrix product of at most 10^6 multiply-adds on the calling
-# thread; a larger one wakes its thread pool, whose spinning threads then burn a
-# second core through the solver's single-threaded work for no wall-time gain
-# (1D periodic Fisher solve, M = 2000, N = 256, on 2 x86 vCPUs: unsplit, CPU
-# time twice the wall time, which is no shorter than with the products split).
+# OpenBLAS (0.3.31, 2 x86 vCPUs, threads unpinned) runs a matrix product of at
+# most 10^6 multiply-adds on the calling thread; a larger one wakes its thread
+# pool, whose spinning threads then burn a second core through the solver's
+# single-threaded work for no wall-time gain (1D periodic Fisher solve, M =
+# 2000, N = 256: unsplit, CPU time twice the wall time, which is no shorter
+# than with the products split).  Measured per product, with the pool idle
+# first: (15 x 259) @ (259 x 257), 9.98e5 multiply-adds, ran at cpu/wall 1.00
+# both as a level slab of march's panel (a strided view) and contiguous;
+# (15 x 260) @ (260 x 257), 1.002e6, at 1.90 in either layout; a column slab
+# (15 x 1900) @ (1900 x 35) at 1.00.  The layout does not move the threshold.
 _SLAB_MADDS = 10**6
 
 
 def _settled_sums(K: np.ndarray, H: np.ndarray, G: np.ndarray) -> None:
-    """G = K @ H, in slabs of H's columns of at most ``_SLAB_MADDS`` multiply-adds."""
+    """G = K @ H for a (B, k) weight panel K and a (k, n) settled history H, in
+    slabs of at most ``_SLAB_MADDS`` multiply-adds each.
+
+    The slabs cut the longer of H's two dimensions.  With more settled levels
+    than values a level (k > n) they are slabs of whole levels, summed into G
+    through one (B, n) scratch: each reads its rows of H contiguously and its
+    columns of K once.  Otherwise they are slabs of H's columns, each of which
+    reads all of K; with k <= n that is the smaller operand.  A scalar history
+    (n = 1) at k <= ``_SLAB_MADDS`` / B is one product either way.
+    """
     if H.ndim == 1:
         H, G = H[:, None], G[:, None]
+    B, k = K.shape
+    n = H.shape[1]
+    if k > n:
+        rows = max(1, _SLAB_MADDS // (B * n))
+        np.matmul(K[:, :rows], H[:rows], out=G)
+        if rows < k:
+            S = np.empty_like(G)
+            for r in range(rows, k, rows):
+                np.matmul(K[:, r : r + rows], H[r : r + rows], out=S)
+                G += S
+        return
     cols = max(1, _SLAB_MADDS // K.size)
-    for c in range(0, H.shape[1], cols):
+    for c in range(0, n, cols):
         np.matmul(K, H[:, c : c + cols], out=G[:, c : c + cols])
 
 
@@ -155,8 +181,10 @@ def march(mesh: TemporalMesh, alpha: float, U: np.ndarray):
     only depend on the mesh, so the kernel ``l1_weights`` uses fills them as one
     (B, m0+B-1) panel, and both give the same weights bit for bit.  U^0..U^{m0-1}
     are settled when the block starts, so they enter all its levels through one
-    matrix product (split into column slabs only to keep BLAS on the calling
-    thread), which reads the history once per block instead of once per level.
+    matrix product, which reads the history once per block instead of once per
+    level.  It runs in slabs only to keep BLAS on the calling thread: slabs of
+    whole levels once there are more settled levels than values a level, as on
+    long 1D runs, else slabs of history columns (``_settled_sums``).
     Each level then adds its own at most B - 1 newer terms, so F^m equals the
     whole-row product up to the rounding of another summation order.  F^m never
     shares the work arrays.  Raises ValueError unless 0 < alpha < 1.

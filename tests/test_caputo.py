@@ -266,11 +266,13 @@ class TestPanel:
     """march fills the weights a block of levels at a time; every level's weights
     must still be the ones l1_weights gives, bit for bit, at every block edge."""
 
-    @pytest.fixture(params=["one-slab", "column-slabs"])
+    @pytest.fixture(params=["one-slab", "column-slabs", "level-slabs"])
     def pinned(self, request, monkeypatch):
         monkeypatch.setattr(caputo, "_block_rows", lambda M, n: min(M, PANEL_B))
-        if request.param == "column-slabs":  # the settled sums a few history columns at a time
+        if request.param == "column-slabs":  # a few history columns, or levels, a slab
             monkeypatch.setattr(caputo, "_SLAB_MADDS", 50)
+        elif request.param == "level-slabs":  # one column, or one level, a slab
+            monkeypatch.setattr(caputo, "_SLAB_MADDS", PANEL_B)
 
     @pytest.mark.parametrize("M", [1, 2, PANEL_B - 1, PANEL_B, PANEL_B + 1, 3 * PANEL_B + 2])
     @pytest.mark.parametrize("r", [1.0, 2.5, 3.0])
@@ -321,3 +323,88 @@ class TestPanel:
         B = caputo._block_rows(M, n)
         assert min(M, 8) <= B <= M
         assert B <= 8 or 8 * B * (2 * M + n) <= (M + 1) * n
+
+
+def column_slab_sums(K, H, G):
+    """The settled sums in column slabs whatever the shape: _settled_sums must
+    match it bit for bit wherever its level slabs do not run or are one product."""
+    if H.ndim == 1:
+        H, G = H[:, None], G[:, None]
+    cols = max(1, caputo._SLAB_MADDS // K.size)
+    for c in range(0, H.shape[1], cols):
+        np.matmul(K, H[:, c : c + cols], out=G[:, c : c + cols])
+
+
+SPLIT_MADDS = 60  # _SLAB_MADDS for TestSettledSums, so most shapes below run several slabs
+SPLIT_SHAPES = {  # (B, k, n): n = None is a 1D (scalar) history
+    "k>n": (5, 37, 6),  # 2 levels a slab, 19 slabs
+    "k<=n": (5, 7, 23),  # 1 column a slab, 23 slabs
+    "1D": (5, 37, None),  # 12 levels a slab, 4 slabs
+    "k<rows": (5, 3, 2),  # a slab would hold 6 levels: one slab
+}
+
+
+def _split_operands(B, k, n, seed=3):
+    rng = np.random.default_rng(seed)
+    K = rng.random((B, k + 4))[:, 2 : k + 2]  # a strided view, as march passes its panel
+    H = rng.standard_normal((k,) if n is None else (k, n))
+    return K, H, np.empty((B,) if n is None else (B, n))
+
+
+class TestSettledSums:
+    """_settled_sums cuts G = K @ H along the longer of H's dimensions."""
+
+    @pytest.mark.parametrize("case", SPLIT_SHAPES)
+    def test_within_dot_bound_of_one_product(self, monkeypatch, case):
+        monkeypatch.setattr(caputo, "_SLAB_MADDS", SPLIT_MADDS)
+        K, H, G = _split_operands(*SPLIT_SHAPES[case])
+        caputo._settled_sums(K, H, G)
+        for b in range(K.shape[0]):
+            assert np.all(np.abs(G[b] - K[b] @ H) <= dot_bound(K[b], H))
+
+    @pytest.mark.parametrize("case", SPLIT_SHAPES)
+    def test_products_stay_within_the_slab_budget(self, monkeypatch, case):
+        monkeypatch.setattr(caputo, "_SLAB_MADDS", SPLIT_MADDS)
+        B, k, n = SPLIT_SHAPES[case]
+        madds, matmul = [], np.matmul
+
+        def spy(a, b, *args, **kwargs):
+            madds.append(a.shape[0] * a.shape[1] * (b.shape[1] if b.ndim == 2 else 1))
+            return matmul(a, b, *args, **kwargs)
+
+        K, H, G = _split_operands(B, k, n)
+        monkeypatch.setattr(np, "matmul", spy)
+        caputo._settled_sums(K, H, G)
+        assert max(madds) <= SPLIT_MADDS
+        # every multiply-add of K @ H is done exactly once
+        assert sum(madds) == B * k * (n or 1)
+
+    @pytest.mark.parametrize("B, k, n, madds", [
+        (5, 7, 23, SPLIT_MADDS),  # k <= n: column slabs, as before
+        (15, 250, 257, 10**6),  # an early march1d block: k <= n
+        (15, 1900, 1, 10**6),  # a scalar history: one product
+        (8, 7993, None, 10**6),  # the last block of an M = 8000 scalar march, 1D
+    ])
+    def test_bitwise_equal_to_column_slabs_where_levels_do_not_split(self, monkeypatch, B, k, n, madds):
+        monkeypatch.setattr(caputo, "_SLAB_MADDS", madds)
+        K, H, G = _split_operands(B, k, n)
+        want = np.empty_like(G)
+        column_slab_sums(K, H, want)
+        caputo._settled_sums(K, H, G)
+        assert np.array_equal(G, want)
+
+    def test_level_slabs_read_each_level_once(self, monkeypatch):
+        # march1d's late-block shape: one product of 259 levels a slab, against
+        # the 8 column slabs that would each read all of K
+        B, k, n = 15, 1900, 257
+        calls, matmul = [], np.matmul
+
+        def spy(a, b, *args, **kwargs):
+            calls.append((a.shape, b.shape))
+            return matmul(a, b, *args, **kwargs)
+
+        K, H, G = _split_operands(B, k, n)
+        monkeypatch.setattr(np, "matmul", spy)
+        caputo._settled_sums(K, H, G)
+        rows = 10**6 // (B * n)
+        assert calls == [((B, min(rows, k - r)), (min(rows, k - r), n)) for r in range(0, k, rows)]

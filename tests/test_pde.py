@@ -714,6 +714,24 @@ class TestBandedLU:
         assert _same_counts(sol, lu)
         np.testing.assert_allclose(sol.fields, lu.fields, rtol=0, atol=1e-12)
 
+    def test_level_slab_history_sums_match_one_product(self, monkeypatch):
+        # 32 values a level against up to 600 settled levels: march sums the
+        # settled history in slabs of whole levels.  At the default budget
+        # this size needs one product; 50 levels a slab (B = 8) splits the
+        # later blocks into up to 12 slabs, which only reorder the sums
+        rc = _fisher_1d_config(600, N=32, a="1 + 0.5*sin(x)")
+        args = (rc.problem, rc.mesh, rc.grid, rc.solver)
+        assert fraxolve.caputo._block_rows(rc.mesh.M, 32) == 8
+        sol = solve_pde(*args)
+        with monkeypatch.context() as mp:
+            mp.setattr(fraxolve.caputo, "_SLAB_MADDS", 10**9)
+            one = solve_pde(*args)
+            mp.setattr(fraxolve.caputo, "_SLAB_MADDS", 8 * 32 * 50)
+            split = solve_pde(*args)
+        assert np.array_equal(sol.fields, one.fields) and _same_counts(sol, one)
+        assert _same_counts(split, one)
+        np.testing.assert_allclose(split.fields, one.fields, rtol=1e-13, atol=0)
+
     @pytest.mark.parametrize("N", [2, 3, 64])
     @pytest.mark.parametrize("kind", SWEEP_OPERATORS)
     def test_solve_and_product_match_dense(self, kind, N):

@@ -187,6 +187,28 @@ class TestLevelSolve:
         secant = solve_scalar(dataclasses.replace(f, deriv_s=None), 1000.0, mesh, 0.5)
         np.testing.assert_allclose(secant.values, newton.values, rtol=0, atol=1e-10)
 
+    @pytest.mark.parametrize("u0, newton_steps", [(1e6, 25), (1e8, 33), (1e10, 40)])
+    def test_allen_cahn_without_derivative_from_very_far_starts(self, u0, newton_steps):
+        # plain secant steps leave 3/4 of the distance to a far root each:
+        # level 1 took 36, 47 and 58 > max_newton = 50 steps; doubled while a
+        # side of the bracket is open they take 25, 31 and 37, no more than
+        # Newton with the derivative, whose steps this does not change
+        f = builtin("allen_cahn", alpha=0.5)
+        mesh = build_graded(64, 1.0, 2.0)
+        newton = solve_scalar(f, u0, mesh, 0.5)
+        assert newton.newton_iters[0] == newton_steps
+        secant = solve_scalar(dataclasses.replace(f, deriv_s=None), u0, mesh, 0.5)
+        assert max(secant.newton_iters) <= newton_steps
+        np.testing.assert_allclose(secant.values, newton.values, rtol=1e-12, atol=1e-10)
+
+    def test_secant_step_near_the_root_is_not_stretched(self):
+        # on a linear g the first secant step lands on the root up to rounding,
+        # and a step after it is far below a quarter of it: doubled, it would
+        # overshoot and cost a fifth step at some levels
+        f = dataclasses.replace(builtin("linear", cstar=1.0), deriv_s=None)
+        secant = solve_scalar(f, 1e6, build_graded(64, 1.0, 2.0), 0.5)
+        assert max(secant.newton_iters) <= 4
+
     def test_newton_overshoot_is_bisected(self):
         # g = kmm U + 100 atan(U) - F is arctan-like: plain Newton from U = 10
         # jumps to -59 and then to 143, past the iterate at 10 that bounds the root
