@@ -10,6 +10,7 @@ it instead or, while one side is still open, doubles toward the root.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -105,25 +106,28 @@ def _solve_step(f: Nonlinearity, t: float, kmm: float, F: float, u_prev: float,
     bounds are finite, before that by a step toward the root of length 1,
     2, 4, ...
 
-    On a convex stretch of g a secant through two points on one side falls
+    On a convex stretch of g a Newton or secant step from one side falls
     short of the root; from a far start it falls short by a fixed fraction
-    of the distance at every step (Allen-Cahn from 1e10: 3/4 of it is left
-    after each step, 58 steps at level 1).  So after the first secant step,
-    while a side of the bracket is open, a secant step at least a quarter
-    as long as the step before it goes twice as far (37 steps from 1e10,
-    where Newton takes 40); an overshoot then closes the bracket.  Steps
-    that shrink faster are near the root and go as they are.
+    of the distance at every step (Allen-Cahn from 1e10, level 1: Newton
+    leaves 2/3 of it, 40 steps, and the secant 3/4, 58 steps; Newton from
+    1e14 ran out of 50).  So from the second step on (the second secant
+    step), while a side of the bracket is open, a step at least a quarter as
+    long as the step before it goes twice as far (from 1e10: Newton 26
+    steps, the secant 37; from 1e20 Newton takes 46); an overshoot then
+    closes the bracket.  Steps that shrink faster are near the root and go
+    as they are.
     """
 
     def g(u):
         val = kmm * u + float(f.eval(None, t, u)) - F
-        if not np.isfinite(val):
+        if not math.isfinite(val):
             raise NonconvergenceError(m, np.inf, f"level {m}: f produced non-finite value at U={u}")
         return val
 
     tol = cfg.nonlin_tol * max(1.0, abs(F))
     u, lo, hi, reach = u_prev, -np.inf, np.inf, 1.0
     u_last = g_last = np.nan  # the previous iterate: no secant at the first
+    stretch_from = 2 if f.deriv_s is not None else 3  # the first step with a step before it
     for it in range(1, cfg.max_newton + 1):
         gu = g(u)
         if abs(gu) <= tol:
@@ -132,15 +136,15 @@ def _solve_step(f: Nonlinearity, t: float, kmm: float, F: float, u_prev: float,
             hi = u
         else:
             lo = u
-        stretch = 1.0
         if f.deriv_s is not None:
             dg = kmm + float(f.deriv_s(None, t, u))
         else:
             dg = (gu - g_last) / (u - u_last) if u != u_last else 0.0
-            open_side = lo == -np.inf or hi == np.inf
-            if it > 2 and open_side and 4.0 * abs(gu) >= dg * abs(u - u_last):
-                stretch = 2.0
-            u_last, g_last = u, gu
+        stretch = 1.0
+        open_side = lo == -np.inf or hi == np.inf
+        if it >= stretch_from and open_side and 4.0 * abs(gu) >= dg * abs(u - u_last):
+            stretch = 2.0
+        u_last, g_last = u, gu
         cand = u - stretch * gu / dg if dg > 0 else np.nan
         if lo < cand < hi:
             u = cand

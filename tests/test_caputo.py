@@ -253,10 +253,67 @@ class TestMarch:
         assert levels == list(range(1, 25))
 
     def test_constant_history_gives_diag(self):
-        # row-sum identity at every level: F^m of ones == kappa_{m,m}
+        # row-sum identity at every level: F^m of ones == kappa_{m,m}, exactly
+        # since a scalar history is differenced and every difference is zero
         mesh = build_graded(40, 1.0, 3.0)
         for m, kmm, F in march(mesh, 0.7, np.ones(41)):
-            assert F == pytest.approx(kmm, rel=1e-12)
+            assert F == kmm
+
+
+class TestDifferencedHistory:
+    """A history narrower than a block (n < B) enters F^m through its scaled
+    differences w_j and the unscaled increments d~_{m,j}, not through kappa."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_history_sum_against_mpmath(self, seed):
+        # F^m at 40 digits on the same nodes and values.  Scale: S_m =
+        # sum_{j=1..m} d_{m,j} |U^{j-1}|, the increments against the values they
+        # first multiply.  Measured worst over both seeds: 1.11 eps S_m
+        # (differenced) and 0.93 eps S_m (kappa rows); both must meet one bound
+        mpmath = pytest.importorskip("mpmath")
+        M, alpha = 120, 0.4
+        mesh = build_graded(M, 1.0, 3.0)
+        rng = np.random.default_rng(seed)
+        U = rng.uniform(-1.0, 1.0, M + 1) * np.exp(rng.uniform(-3.0, 3.0, M + 1))
+        assert caputo._block_rows(M, 1) > 1  # the differenced path
+        with mpmath.workdps(40):
+            t = [mpmath.mpf(float(x)) for x in mesh.nodes]
+            u = [mpmath.mpf(float(x)) for x in U]
+            beta = 1 - mpmath.mpf(alpha)
+            g = mpmath.gamma(2 - mpmath.mpf(alpha))
+            for m, kmm, F in march(mesh, alpha, U):
+                d = [((t[m] - t[j - 1]) ** beta - (t[m] - t[j]) ** beta) / ((t[j] - t[j - 1]) * g)
+                     for j in range(1, m + 1)]
+                exact = d[m - 1] * u[m - 1] - mpmath.fsum(d[j - 1] * (u[j] - u[j - 1]) for j in range(1, m))
+                bound = 2 * EPS * float(mpmath.fsum(d[j] * abs(u[j]) for j in range(m)))
+                kappa_form = l1_weights(mesh, alpha, m).kappa[:m] @ U[:m]
+                assert abs(float(F) - exact) <= bound
+                assert abs(float(kappa_form) - exact) <= bound
+
+    @pytest.mark.parametrize("shape", [(1,), (3,)])
+    def test_constant_history_gives_diag_exactly(self, shape):
+        # every difference is an exact zero, so F^m = kappa_{m,m} c to the bit
+        M = 40
+        assert math.prod(shape) < caputo._block_rows(M, math.prod(shape))
+        mesh = build_graded(M, 1.0, 3.0)
+        for m, kmm, F in march(mesh, 0.7, np.full((M + 1,) + shape, 0.3)):
+            assert np.all(F == kmm * 0.3)
+            assert kmm == l1_weights(mesh, 0.7, m).diag
+
+    @pytest.mark.parametrize("shape", [(1,), (3,)])
+    def test_caller_may_overwrite_the_yielded_sum(self, shape):
+        # F^m is the caller's: scribbling on it must not reach the differences
+        # or the settled sums that later levels read
+        rng = np.random.default_rng(5)
+        M = 30
+        mesh = build_graded(M, 1.0, 2.0)
+        U = np.empty((M + 1,) + shape)
+        U[0] = rng.standard_normal(shape)
+        for m, kmm, F in march(mesh, 0.5, U):
+            w = l1_weights(mesh, 0.5, m)
+            assert np.all(np.abs(F - w.kappa[:m] @ U[:m]) <= dot_bound(w.kappa[:m], U[:m]))
+            F[...] = np.nan
+            U[m] = rng.standard_normal(shape)
 
 
 PANEL_B = 4  # block size pinned by TestPanel, so block edges sit at known levels
@@ -303,7 +360,8 @@ class TestPanel:
             assert kmm == w.diag
             assert np.array_equal(F[:m], w.kappa[:m])
 
-    @pytest.mark.parametrize("shape", [(), (5,), (3, 4)])
+    # n = 1 and n = B - 1 take the differenced path, n = B and wider the kappa panel
+    @pytest.mark.parametrize("shape", [(), (1,), (PANEL_B - 1,), (PANEL_B,), (5,), (3, 4)])
     def test_history_shapes(self, pinned, shape):
         rng = np.random.default_rng(17)
         M = 3 * PANEL_B + 2
@@ -317,6 +375,17 @@ class TestPanel:
             want = np.tensordot(w.kappa[:m], U[:m], axes=1)
             assert np.all(np.abs(F - want) <= dot_bound(w.kappa[:m], U[:m]))
             U[m] = rng.standard_normal(shape)
+
+    @pytest.mark.parametrize("shape, wide", [
+        ((), False), ((1,), False), ((PANEL_B - 1,), False), ((PANEL_B,), True), ((3, 4), True),
+    ])
+    def test_only_wide_histories_difference_the_panel(self, pinned, monkeypatch, shape, wide):
+        calls, real = [], caputo._l1_kappa
+        monkeypatch.setattr(caputo, "_l1_kappa", lambda *a: calls.append(a[0].shape) or real(*a))
+        M = 3 * PANEL_B + 2
+        for _ in march(build_graded(M, 1.0, 2.5), 0.5, np.zeros((M + 1,) + shape)):
+            pass
+        assert len(calls) == (-(-M // PANEL_B) if wide else 0)
 
     @pytest.mark.parametrize("M, n", [(1, 1), (3, 1), (2000, 256), (8000, 1), (300, 512), (64, 127**2)])
     def test_block_rows_within_an_eighth_of_the_history(self, M, n):
@@ -408,3 +477,72 @@ class TestSettledSums:
         caputo._settled_sums(K, H, G)
         rows = 10**6 // (B * n)
         assert calls == [((B, min(rows, k - r)), (min(rows, k - r), n)) for r in range(0, k, rows)]
+
+
+def kappa_panel_march(mesh, alpha, U):
+    """march as it ran before histories narrower than a block were differenced:
+    the one-kernel weight panel and the kappa product for every history.  Wide
+    histories must still give its kappa_{m,m} and F^m bit for bit."""
+    M = mesh.M
+    hist = U if U.ndim <= 2 else U.reshape(M + 1, -1)
+    n = hist[0].size
+    tau = mesh.steps
+    tau_g = tau * gamma(2.0 - alpha)
+    beta = 1.0 - alpha
+    lift = tau.min()
+    B = caputo._block_rows(M, n)
+    d, k, G = np.empty(B * M), np.empty(B * M), np.empty((B,) + hist.shape[1:])
+    for m0 in range(1, M + 1, B):
+        nb = min(B, M + 1 - m0)
+        W = m0 + nb - 1
+        hi, z = d[: nb * W].reshape(nb, W), k[: nb * W].reshape(nb, W)
+        np.subtract(mesh.nodes[m0 : m0 + nb, None], mesh.nodes[1 : W + 1], out=hi)
+        square = hi[:, m0 - 1 :]
+        np.maximum(square, lift, out=square)
+        np.divide(tau[:W], hi, out=z)
+        np.log1p(z, out=z)
+        np.multiply(z, beta, out=z)
+        np.expm1(z, out=z)
+        np.power(hi, beta, out=hi)
+        np.multiply(hi, z, out=hi)
+        np.power(tau[m0 - 1 : W], beta, out=hi.reshape(-1)[m0 - 1 :: W + 1])
+        np.divide(hi, tau_g[:W], out=hi)
+        flat_d, flat_k = d[: nb * W], k[: nb * W]
+        np.subtract(flat_d[1:], flat_d[:-1], out=flat_k[1:])
+        np.maximum(flat_k[1:], 0.0, out=flat_k[1:])
+        z[:, 0] = hi[:, 0]
+        caputo._settled_sums(z[:, :m0], hist[:m0], G[:nb])
+        for b in range(nb):
+            m = m0 + b
+            F = z[b, m0:m] @ hist[m0:m]
+            F += G[b]
+            yield m, float(hi[b, m - 1]), F if hist is U else F.reshape(U.shape[1:])
+
+
+class TestWideHistory:
+    """Histories of at least a block's width keep the kappa panel: the kernel split
+    leaves their weights and sums unchanged to the bit."""
+
+    @pytest.mark.parametrize("alpha, r", [(0.4, 2.0), (0.5, 1.0), (0.8, 3.0)])
+    def test_march1d_shape_bitwise_equal_to_kappa_panel_march(self, alpha, r):
+        # 257 values a level, as the 1D periodic benchmark march; 13 levels a
+        # block and, at the default slab budget, two level slabs in late blocks
+        M, n = 500, 257
+        assert n >= caputo._block_rows(M, n)
+        mesh = build_graded(M, 1.0, r)
+        rng = np.random.default_rng(23)
+        U = np.empty((M + 1, n))
+        U[0] = rng.standard_normal(n)
+        for (m, kmm, F), (m_old, kmm_old, F_old) in zip(march(mesh, alpha, U), kappa_panel_march(mesh, alpha, U)):
+            assert (m, kmm) == (m_old, kmm_old)
+            assert np.array_equal(F, F_old)
+            U[m] = rng.standard_normal(n)
+        assert m == M
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+    def test_weights_bitwise_equal_to_the_one_kernel(self, alpha):
+        mesh = build_graded(60, 1.0, 3.0)
+        for m, kmm, F in kappa_panel_march(mesh, alpha, np.eye(61)):
+            w = l1_weights(mesh, alpha, m)
+            assert kmm == w.diag
+            assert np.array_equal(F[:m], w.kappa[:m])

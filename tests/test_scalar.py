@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from fraxolve.caputo import l1_weights
 from fraxolve.mesh import TemporalMesh, build_graded
 from fraxolve.nonlinearity import Nonlinearity, builtin
 from fraxolve.scalar import (
@@ -187,19 +188,32 @@ class TestLevelSolve:
         secant = solve_scalar(dataclasses.replace(f, deriv_s=None), 1000.0, mesh, 0.5)
         np.testing.assert_allclose(secant.values, newton.values, rtol=0, atol=1e-10)
 
-    @pytest.mark.parametrize("u0, newton_steps", [(1e6, 25), (1e8, 33), (1e10, 40)])
-    def test_allen_cahn_without_derivative_from_very_far_starts(self, u0, newton_steps):
-        # plain secant steps leave 3/4 of the distance to a far root each:
-        # level 1 took 36, 47 and 58 > max_newton = 50 steps; doubled while a
-        # side of the bracket is open they take 25, 31 and 37, no more than
-        # Newton with the derivative, whose steps this does not change
+    @pytest.mark.parametrize("u0, newton_steps, secant_steps", [
+        (1e6, 18, 25), (1e8, 22, 31), (1e10, 26, 37),
+    ])
+    def test_allen_cahn_without_derivative_from_very_far_starts(self, u0, newton_steps, secant_steps):
+        # plain steps on a convex stretch leave a fixed fraction of the distance
+        # to a far root each: the secant 3/4 (36, 47 and 58 > max_newton = 50
+        # steps at level 1), Newton 2/3 (25, 33 and 40).  Doubled while a side of
+        # the bracket is open, each path takes these steps
         f = builtin("allen_cahn", alpha=0.5)
         mesh = build_graded(64, 1.0, 2.0)
         newton = solve_scalar(f, u0, mesh, 0.5)
-        assert newton.newton_iters[0] == newton_steps
+        assert newton.newton_iters[0] == max(newton.newton_iters) == newton_steps
         secant = solve_scalar(dataclasses.replace(f, deriv_s=None), u0, mesh, 0.5)
-        assert max(secant.newton_iters) <= newton_steps
+        assert secant.newton_iters[0] == max(secant.newton_iters) == secant_steps
         np.testing.assert_allclose(secant.values, newton.values, rtol=1e-12, atol=1e-10)
+
+    @pytest.mark.parametrize("u0, newton_steps", [(1e14, 34), (1e16, 38), (1e20, 46)])
+    def test_allen_cahn_newton_from_farther_starts(self, u0, newton_steps):
+        # plain Newton needed more than max_newton = 50 steps at level 1 from
+        # 1e14 on; doubled, each factor 100 in the start costs 2 more steps
+        f = builtin("allen_cahn", alpha=0.5)
+        mesh = build_graded(64, 1.0, 2.0)
+        newton = solve_scalar(f, u0, mesh, 0.5)
+        assert newton.newton_iters[0] == max(newton.newton_iters) == newton_steps
+        kmm, u1 = l1_weights(mesh, 0.5, 1).diag, newton.values[1]
+        assert abs(kmm * (u1 - u0) + float(f.eval(None, mesh.nodes[1], u1))) <= 1e-12 * kmm * u0
 
     def test_secant_step_near_the_root_is_not_stretched(self):
         # on a linear g the first secant step lands on the root up to rounding,
