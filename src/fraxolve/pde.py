@@ -4,16 +4,20 @@
 
 with damped Newton, an M-matrix Jacobian under the step restriction, and
 range preservation for invariant-range reactions.  Level 1 starts Newton
-from U^0; level m >= 2 from the step-ratio extrapolation
-
-    U^{m-1} + (tau_m / tau_{m-1}) (U^{m-1} - U^{m-2}),
-
-the standard starting value of implicit integrators (Hairer-Wanner, Solving
-ODEs II, IV.8): away from t = 0 the solution is smooth in t, so one Newton
-step usually suffices where U^{m-1} needs two.  Near t = 0 a graded mesh has
-tau_m / tau_{m-1} up to 2^r - 1 and the extrapolation overshoots, so it is
-clipped to the reaction's invariant range when there is one, where the
-solution lies and a truncated reaction has its derivative.
+from U^0; level m >= 2 from a Lagrange extrapolation of the levels before
+it in the variable s = t^alpha.  Near t = 0 the solution behaves like
+u(0) + c t^alpha + O(t^{2 alpha}) (Stynes-O'Riordan-Gracia, SIAM J. Numer.
+Anal. 2017), smooth in s where it is singular in t, and on a graded mesh
+the s-steps grow far less than the t-steps, so an extrapolation in s
+overshoots far less than one in t.  Levels 2-5 extrapolate linearly through
+U^{m-2} and U^{m-1}.  From level 6 on, each degree p = 1, 2, 3 predicts
+U^{m-1} from the p + 1 levels before it, and the degree whose prediction
+erred least in max-norm extrapolates U^m: the order selection of
+variable-order predictors (Brenan-Campbell-Petzold, 1996), with no knob.
+The weights depend only on the mesh and alpha, and are built once per
+solve.  A start accurate to the Newton tolerance takes no Newton step at
+all.  The start is clipped to the reaction's invariant range when there is
+one, where the solution lies and a truncated reaction has its derivative.
 
 Each assembled L_h passes ``spatial.check_max_principle`` (an M-matrix)
 and gets one solver object whose ``solve(shift, rhs, m, tol, eta)`` makes the
@@ -45,13 +49,15 @@ of the tolerance, as with the fixed forcing term 0.1 tol / ||r_k||_2 alone.
 The Newton loop tests the true residual against tol at every step, so a
 loose step that falls short costs one more Newton step, not accuracy.
 
-The three diagonals and corners of a 1D L_h, and the CSC matrix of
-SuperLU, are taken once per assembled operator; a solve only rewrites the
-diagonal (of a copy, which LAPACK factors in place).  The same diagonals
+The three diagonals and corners of a 1D L_h are taken once per assembled
+operator, and the CSC matrix of SuperLU at its first SuperLU solve (the CG
+of the fast path never needs it); a solve only rewrites the diagonal (of a
+copy, which LAPACK factors in place).  The same diagonals
 give the residual's product L_h U in 1D.  A ``t``-dependent L_h is
 assembled and checked once per level, at t_m; a constant one once, at
-t_1.  The Dirichlet data is evaluated once per level, for the data vector
-and the scatter.
+t_1.  Dirichlet data given by a callable phi(x, t) is evaluated once per
+level, for the data vector and the scatter; constant data once per
+assembled operator.
 
 scipy is not imported with this module.  ``_ShiftedTridiag.of`` and
 ``_ShiftedMatrix.of``, which run once per assembled operator, bind
@@ -134,32 +140,35 @@ _SM_EPS = 64 * np.finfo(float).eps
 
 @dataclass
 class _ShiftedMatrix:
-    """The solver of a 2D operator A: one CSC matrix, set up once per assembled A.
+    """The solver of a 2D operator A, set up once per assembled A.
 
-    ``matvec`` is the residual's product with A itself.  ``J`` has the
-    off-diagonal entries of A and a full diagonal; a solve only rewrites the
-    diagonal entries (positions ``diag_pos`` in J.data) with A's diagonal
-    plus the shift, so the sparsity never changes.  ``fast`` is the fast
-    inverse of A, or None.  The CG of the fast path never multiplies by J
-    (``_pcg``): J serves the SuperLU solve and the residual a CG failure
-    reports.
+    ``matvec`` is the residual's product with A itself.  ``fast`` is the
+    fast inverse of A, or None.  The CG of the fast path never multiplies by
+    a shifted matrix (``_pcg``); the SuperLU solve and the residual a CG
+    failure reports take ``_with_shift``, whose CSC matrix ``_J`` is built on
+    first use.  It has the off-diagonal entries of A and a full diagonal; a
+    solve only rewrites the diagonal entries (the positions ``_J`` also
+    returns) with A's diagonal plus the shift, so the sparsity never
+    changes.
     """
 
     A: sp.spmatrix
-    J: sp.csc_matrix
-    diag_pos: np.ndarray
     a_diag: np.ndarray
     fast: FastInverse | None
 
     @classmethod
     def of(cls, A: sp.spmatrix, fast: FastInverse | None = None) -> "_ShiftedMatrix":
         _load_scipy()
-        n = A.shape[0]
-        a_diag = A.diagonal()
+        return cls(A, A.diagonal(), fast)
+
+    @functools.cached_property
+    def _J(self) -> tuple[sp.csc_matrix, np.ndarray]:
+        """The CSC matrix of A's off-diagonal entries plus I, and the positions of its diagonal."""
+        n = self.A.shape[0]
         # drop A's diagonal before adding I, so no a_ii + 1 can cancel to a missing entry
-        J = (A - sp.diags(a_diag) + sp.eye(n)).tocsc()
+        J = (self.A - sp.diags(self.a_diag) + sp.eye(n)).tocsc()
         cols = np.repeat(np.arange(n), np.diff(J.indptr))
-        return cls(A, J, np.flatnonzero(J.indices == cols), a_diag, fast)
+        return J, np.flatnonzero(J.indices == cols)
 
     def matvec(self, u: np.ndarray) -> np.ndarray:
         return self.A @ u
@@ -200,9 +209,10 @@ class _ShiftedMatrix:
         return lu.solve(rhs), 1
 
     def _with_shift(self, shift) -> sp.csc_matrix:
-        """J rewritten in place to A + diag(shift); valid until the next call."""
-        self.J.data[self.diag_pos] = self.a_diag + shift
-        return self.J
+        """``_J`` rewritten in place to A + diag(shift); valid until the next call."""
+        J, diag_pos = self._J
+        J.data[diag_pos] = self.a_diag + shift
+        return J
 
     def _pcg(self, shift, rhs: np.ndarray, s: float, m: int, rtol: float) -> tuple[np.ndarray, int]:
         """CG on A + diag(shift), preconditioned by (A + s I)^{-1}, to relative residual rtol.
@@ -340,11 +350,12 @@ def _newton_level(
     ``solver`` serves both products of a step: L_h u in the residual
     (``matvec``; in 1D from the tridiagonal solver's own diagonals) and the
     solve with L_h + diag(kmm + f_s).  ``u_start`` is U^0 at level 1 and,
-    after it, the step-ratio extrapolation clipped to ``f.range``: the clip
-    undoes the overshoot of the strongly graded first steps (module
-    docstring).  Returns U^m, the Newton steps, the final residual inf-norm
-    (<= the tolerance ``cfg.nonlin_tol * max(1, max|Fm|)``), the linear
-    iterations and the Picard steps.
+    after it, the extrapolation in t^alpha (``_extrapolate``) clipped to
+    ``f.range`` (module docstring); a start that already meets the
+    tolerance is returned after 0 steps.  ``g_dir`` is the Dirichlet data's
+    contribution to L_h u.  Returns U^m, the Newton steps, the final
+    residual inf-norm (<= the tolerance ``cfg.nonlin_tol * max(1,
+    max|Fm|)``), the linear iterations and the Picard steps.
     """
     def residual(u):
         return kmm * u + solver.matvec(u) + g_dir + np.asarray(f.eval(pts, t, u)) - Fm
@@ -390,6 +401,44 @@ def _newton_level(
     raise NonconvergenceError(m, rnorm)
 
 
+def _extrapolation_weights(s: np.ndarray) -> np.ndarray:
+    """Lagrange extrapolation in s: ``W[k, p - 1] @ y[k - 4:k + 1]`` is the
+    degree-p extrapolation of y_k from y_{k-1-p}, ..., y_{k-1}, minus y_k.
+
+    For degree p = 1, 2, 3 and k >= p + 1, ``W[k, p - 1, 3 - q]`` (q = 0..p)
+    is the Lagrange basis polynomial of the nodes s_{k-1}, ..., s_{k-1-p}
+    that belongs to s_{k-1-q}, evaluated at s_k, and ``W[k, p - 1, 4]`` is
+    -1; every other weight is 0.  One pass over the mesh, vectorized over k.
+    """
+    W = np.zeros((s.size, 3, 5))
+    W[:, :, 4] = -1.0
+    for p in (1, 2, 3):
+        k = np.arange(p + 1, s.size)
+        nodes = [s[k - 1 - q] for q in range(p + 1)]
+        for q, s_q in enumerate(nodes):
+            w = np.ones(k.size)
+            for j, s_j in enumerate(nodes):
+                if j != q:
+                    w *= (s[k] - s_j) / (s_q - s_j)
+            W[k, p - 1, 3 - q] = w
+    return W
+
+
+def _extrapolate(W: np.ndarray, H: np.ndarray, m: int) -> np.ndarray:
+    """The Newton start of level m >= 2 from the rows H = U^{max(0, m-5)}, ..., U^{m-1}.
+
+    Levels 2-5 extrapolate linearly in s = t^alpha.  From level 6 on, each
+    degree p = 1, 2, 3 predicts U^{m-1} from the levels before it, and the
+    degree whose prediction errs least in max-norm over the nodes of H
+    extrapolates U^m (module docstring).  ``W`` is ``_extrapolation_weights(t^alpha)``.
+    """
+    if m < 6:
+        return W[m, 0, 2:4] @ H[-2:]
+    err = W[m - 1] @ H
+    np.abs(err, out=err)
+    return W[m, int(np.argmin(err.max(axis=1))), :4] @ H[1:]
+
+
 def solve_pde(
     problem: Problem,
     mesh: TemporalMesh,
@@ -412,8 +461,9 @@ def solve_pde(
 
     fields = np.empty((mesh.M + 1, grid.n_nodes))
     fields[0] = problem.initial_field(grid)
-    tau = mesh.steps  # tau[m - 1] = t_m - t_{m-1}; the property recomputes it per access
+    W = _extrapolation_weights(mesh.nodes**alpha)
     s_range = problem.f.range
+    data_varies = problem.bc.dirichlet_data_varies
 
     out = SolutionHistory(mesh=mesh, grid=grid, fields=fields)
     for m, kmm, F in march(mesh, alpha, fields):
@@ -422,18 +472,24 @@ def solve_pde(
             op = assemble(grid, problem.coeffs, t_m, problem.bc)
             check_max_principle(op, m)
             solver = solver_of(op.matrix)
+            if not data_varies:
+                g = op.dirichlet_values()
+                g_dir = op.data_vector(g)
+        if data_varies:
+            g = op.dirichlet_values(t_m)
+            g_dir = op.data_vector(g)
         unk = op.unknown_flat
         # F sums whole rows; keep the unknowns (a column-indexed slice would copy m rows)
         Fm = F[unk]
-        g = op.dirichlet_values(t_m)
-        u_start = fields[m - 1][unk]
-        if m >= 2:  # step-ratio extrapolation through U^{m-2}, U^{m-1}
-            u_start += (tau[m - 1] / tau[m - 2]) * (u_start - fields[m - 2][unk])
+        if m == 1:
+            u_start = fields[0][unk]
+        else:  # whole rows: a view, where a slice of the unknowns would copy five rows
+            u_start = _extrapolate(W, fields[max(0, m - 5):m], m)[unk]
             if s_range is not None:  # the ufunc pair costs less than np.clip's wrappers
                 np.maximum(u_start, s_range[0], out=u_start)
                 np.minimum(u_start, s_range[1], out=u_start)
         u, iters, rnorm, lin_it, picard = _newton_level(
-            problem.f, t_m, kmm, Fm, op.data_vector(g), u_start,
+            problem.f, t_m, kmm, Fm, g_dir, u_start,
             op.unknown_points, cfg, m, solver,
         )
         fields[m] = op.scatter(u, g)

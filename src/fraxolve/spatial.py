@@ -207,6 +207,11 @@ class BoundarySpec:
     def all_periodic(cls, d: int) -> "BoundarySpec":
         return cls({n: BoundaryCondition("periodic") for n in _FACE_NAMES[d]}, d)
 
+    @property
+    def dirichlet_data_varies(self) -> bool:
+        """True iff some Dirichlet face's value is a callable phi(x, t)."""
+        return any(fc.kind == "dirichlet" and callable(fc.value) for fc in self.faces.values())
+
     def face(self, axis: int, side: int) -> BoundaryCondition:
         return self.faces[_FACE_NAMES[self.d][2 * axis + (1 if side > 0 else 0)]]
 

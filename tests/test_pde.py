@@ -642,6 +642,31 @@ class TestLUPattern:
             else:
                 assert np.array_equal(x, _fresh_lu(A, shift, rhs))
 
+    def test_superlu_matrix_is_built_on_first_use(self, monkeypatch):
+        # the fast path's CG never builds the CSC matrix of SuperLU; a solver
+        # without a fast inverse builds it at its first solve and keeps it
+        made = []
+        of = fraxolve.pde._ShiftedMatrix.of
+
+        def recording_of(A, fast=None):
+            made.append(of(A, fast))
+            return made[-1]
+
+        monkeypatch.setattr(fraxolve.pde._ShiftedMatrix, "of", recording_of)
+        sol = solve_pde(allen_cahn_problem(0.5), build_graded(12, 1.0, 3.0), Grid(2, 16, math.pi))
+        assert len(made) == 1 and made[0].fast is not None and sum(sol.newton_iters) > 0
+        assert "_J" not in vars(made[0])
+        A = LU_OPERATORS["2d-variable-a"]().matrix
+        solver = of(A)
+        assert "_J" not in vars(solver)
+        rng = np.random.default_rng(5)
+        J = None
+        for shift in _shifts(rng, A.shape[0]):
+            rhs = rng.standard_normal(A.shape[0])
+            assert np.array_equal(solver.solve(shift, rhs, 1, 1e-10)[0], _fresh_lu(A, shift, rhs))
+            J = solver._J if J is None else J
+            assert solver._J is J
+
     @pytest.mark.parametrize("case", LU_OPERATORS)
     def test_passes_the_max_principle_check(self, case):
         # valid operators whose row sums round below zero (1d-periodic to
@@ -720,17 +745,29 @@ class TestBandedLU:
         # this size needs one product; 50 levels a slab (B = 8) splits the
         # later blocks into up to 12 slabs, which only reorder the sums
         rc = _fisher_1d_config(600, N=32, a="1 + 0.5*sin(x)")
-        args = (rc.problem, rc.mesh, rc.grid, rc.solver)
-        assert fraxolve.caputo._block_rows(rc.mesh.M, 32) == 8
+        problem, mesh, cfg = rc.problem, rc.mesh, rc.solver
+        args = (problem, mesh, rc.grid, cfg)
+        assert fraxolve.caputo._block_rows(mesh.M, 32) == 8
         sol = solve_pde(*args)
+
+        def sums(U):
+            return np.array([F for _, _, F in fraxolve.caputo.march(mesh, problem.alpha, U)])
+
         with monkeypatch.context() as mp:
             mp.setattr(fraxolve.caputo, "_SLAB_MADDS", 10**9)
-            one = solve_pde(*args)
+            one, F_one = solve_pde(*args), sums(sol.fields)
             mp.setattr(fraxolve.caputo, "_SLAB_MADDS", 8 * 32 * 50)
-            split = solve_pde(*args)
+            split, F_split = solve_pde(*args), sums(sol.fields)
         assert np.array_equal(sol.fields, one.fields) and _same_counts(sol, one)
-        assert _same_counts(split, one)
-        np.testing.assert_allclose(split.fields, one.fields, rtol=1e-13, atol=0)
+        # the sums of one fixed history; the solves themselves may differ,
+        # since rounding in F^m can move a start that meets the tolerance
+        # just so between 0 and 1 Newton steps
+        assert np.array_equal(sums(sol.fields), F_one)
+        np.testing.assert_allclose(F_split, F_one, rtol=1e-13, atol=0)
+        for run in (one, split):
+            for m, (res, limit) in enumerate(_level_residuals(run, problem, cfg), start=1):
+                assert res <= limit, f"level {m}: residual {res:.3e} > {limit:.3e}"
+        np.testing.assert_allclose(split.fields, one.fields, rtol=0, atol=10 * cfg.nonlin_tol)
 
     @pytest.mark.parametrize("N", [2, 3, 64])
     @pytest.mark.parametrize("kind", SWEEP_OPERATORS)
@@ -876,22 +913,58 @@ def _fisher_jump():
                    u0=lambda pts: np.full(pts.shape[0], 0.5), alpha=0.5)
 
 
-class TestPredictedStart:
-    """Levels m >= 2 start Newton from the clipped step-ratio extrapolation."""
+def _lagrange(s_nodes, rows, s_at):
+    """The Lagrange interpolant of (s_nodes[i], rows[i]) evaluated at s_at, term by term."""
+    out = np.zeros_like(rows[0])
+    for i, s_i in enumerate(s_nodes):
+        li = math.prod((s_at - s_j) / (s_i - s_j) for j, s_j in enumerate(s_nodes) if j != i)
+        out = out + li * rows[i]
+    return out
 
-    @pytest.mark.parametrize("case", ["fisher-1d-periodic", "allen-cahn-2d"])
+
+def _reference_start(s, U, m):
+    """Level m's unclipped start from U[:m], recomputed level by level (pde module docstring)."""
+    def extrapolate(p, k):  # degree p through levels k-1-p..k-1, at s_k
+        idx = range(k - 1 - p, k)
+        return _lagrange([s[j] for j in idx], [U[j] for j in idx], s[k])
+
+    p = 1
+    if m >= 6:
+        p = 1 + int(np.argmin([np.max(np.abs(extrapolate(q, m - 1) - U[m - 1])) for q in (1, 2, 3)]))
+    return extrapolate(p, m)
+
+
+class TestPredictedStart:
+    """Levels m >= 2 start Newton from the clipped extrapolation in t^alpha."""
+
+    # Allen-Cahn on Grid(2, 16, pi): (alpha, r, M); s = t^alpha is graded with r alpha
+    ALLEN_CAHN = {
+        "allen-cahn-2d": (0.5, 3.0, 16),
+        "allen-cahn-2d-alpha-0.3": (0.3, 1.0, 48),
+        "allen-cahn-2d-alpha-0.5": (0.5, 3.0, 48),
+        "allen-cahn-2d-alpha-0.7": (0.7, 1.86, 48),
+    }
+
+    @pytest.mark.parametrize("case", ["fisher-1d-periodic", *ALLEN_CAHN])
     def test_every_level_meets_its_tolerance(self, case):
         if case == "fisher-1d-periodic":
             rc = _fisher_1d_config(200, N=64, a="1 + 0.5*sin(x)")
             problem, mesh, grid, cfg = rc.problem, rc.mesh, rc.grid, rc.solver
         else:
-            problem, mesh, grid = allen_cahn_problem(0.5), build_graded(16, 1.0, 3.0), Grid(2, 16, math.pi)
+            alpha, r, M = self.ALLEN_CAHN[case]
+            problem, mesh, grid = allen_cahn_problem(alpha), build_graded(M, 1.0, r), Grid(2, 16, math.pi)
             cfg = SolverConfig()
         sol = solve_pde(problem, mesh, grid, cfg)
         for m, (res, limit) in enumerate(_level_residuals(sol, problem, cfg), start=1):
             assert res <= limit, f"level {m}: residual {res:.3e} > {limit:.3e}"
         tight = solve_pde(problem, mesh, grid, dataclasses.replace(cfg, nonlin_tol=1e-13))
         np.testing.assert_allclose(sol.fields, tight.fields, rtol=0, atol=1e-9)
+
+    def test_newton_step_count_guard(self):
+        # 260 Newton steps (686 CG iterations) from the linear extrapolation
+        # in t, 141 (458) from the chosen degree in t^alpha
+        sol = solve_pde(allen_cahn_problem(0.5), build_graded(128, 1.0, 3.0), Grid(2, 64, math.pi))
+        assert sum(sol.newton_iters) <= 160
 
     def test_about_one_newton_step_per_level(self):
         # from U^{m-1} this run took 797 Newton steps, two per level but for three
@@ -913,13 +986,61 @@ class TestPredictedStart:
         monkeypatch.setattr(fraxolve.pde, "_newton_level", spy)
         problem, mesh, grid = _fisher_jump(), build_graded(16, 1.0, 5.67), Grid(1, 64, 1.0)
         sol = solve_pde(problem, mesh, grid)
-        U = sol.fields[:, assemble(grid, problem.coeffs, 0.0, problem.bc).unknown_flat]
-        tau = mesh.steps
-        pred = U[1:-1] + (tau[1:] / tau[:-1])[:, None] * (U[1:-1] - U[:-2])  # levels 2..M
-        assert pred[0].min() < -1.0 and pred[0].max() > 2.0  # unclipped, level 2 leaves [0, 1]
+        unk = assemble(grid, problem.coeffs, 0.0, problem.bc).unknown_flat
+        U = sol.fields[:, unk]
+        s = mesh.nodes**problem.alpha
+        pred = np.array([_reference_start(s, sol.fields, m)[unk] for m in range(2, mesh.M + 1)])
+        assert pred[0].min() < -0.1 and pred[0].max() > 1.1  # unclipped, level 2 leaves [0, 1]
         np.testing.assert_array_equal(starts[0], U[0])
-        np.testing.assert_array_equal(np.array(starts[1:]), np.clip(pred, 0.0, 1.0))
+        np.testing.assert_allclose(np.array(starts[1:]), np.clip(pred, 0.0, 1.0), rtol=0, atol=1e-13)
         assert range_check_pde(sol, 0.0, 1.0)
+
+
+class TestExtrapolationWeights:
+    """``_extrapolation_weights`` and ``_extrapolate`` on given histories."""
+
+    MESH, ALPHA = build_graded(40, 1.0, 3.0), 0.5
+
+    def test_weights_reproduce_polynomials_in_s(self):
+        s = self.MESH.nodes**self.ALPHA
+        W = fraxolve.pde._extrapolation_weights(s)
+        assert W.shape == (s.size, 3, 5)
+        assert np.all(W[:, :, 4] == -1.0)
+        for p in (1, 2, 3):
+            for q in range(p + 1):
+                y = (s - 0.3) ** q
+                padded = np.concatenate([np.zeros(3), y])  # padded[k - 1:k + 4] = y[k - 4:k + 1]
+                for k in range(p + 1, s.size):
+                    assert W[k, p - 1] @ padded[k - 1:k + 4] == pytest.approx(0.0, abs=1e-12), (p, q, k)
+            assert not W[:p + 1, p - 1, :4].any()  # no weights below level p + 1
+            assert not W[:, p - 1, :3 - p].any()  # degree p reads only the p + 1 latest levels
+
+    def test_history_linear_in_t_alpha_and_t_2alpha_is_extrapolated_exactly(self):
+        # a + b t^alpha + c t^{2 alpha}, per node: degree 2 in s, so from level
+        # 6 on a degree >= 2 back-predicts U^{m-1} to rounding and is chosen
+        t = self.MESH.nodes
+        rng = np.random.default_rng(0)
+        a, b, c = rng.uniform(-1.0, 1.0, (3, 7))
+        U = a + np.outer(t**self.ALPHA, b) + np.outer(t**(2 * self.ALPHA), c)
+        W = fraxolve.pde._extrapolation_weights(t**self.ALPHA)
+        for m in range(2, self.MESH.M + 1):
+            start = fraxolve.pde._extrapolate(W, U[max(0, m - 5):m], m)
+            err = np.max(np.abs(start - U[m]))
+            if m >= 6:
+                assert err <= 1e-12, f"level {m}: {err:.3e}"
+            else:  # linear in s: exact only without the t^{2 alpha} term
+                assert err > 1e-6
+                lin = fraxolve.pde._extrapolate(W, (a + np.outer(t**self.ALPHA, b))[max(0, m - 5):m], m)
+                np.testing.assert_allclose(lin, a + t[m] ** self.ALPHA * b, rtol=0, atol=1e-13)
+
+    def test_start_matches_the_reference_on_a_random_history(self):
+        s = self.MESH.nodes**self.ALPHA
+        U = np.random.default_rng(1).standard_normal((s.size, 5))
+        W = fraxolve.pde._extrapolation_weights(s)
+        for m in range(2, self.MESH.M + 1):
+            want = _reference_start(s, U, m)
+            got = fraxolve.pde._extrapolate(W, U[max(0, m - 5):m], m)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
 
 
 class TestNewtonExits:
@@ -952,6 +1073,38 @@ class TestNewtonExits:
         picard = solve_pde(self._problem(dataclasses.replace(f, deriv_s=None)), self.MESH, self.GRID)
         np.testing.assert_allclose(picard.fields, newton.fields, rtol=0, atol=1e-9)
         assert sum(picard.newton_iters) > 2 * sum(newton.newton_iters)  # 211 against 36
+
+
+@pytest.mark.parametrize("t_dependent", [False, True])
+def test_constant_dirichlet_data_once_per_operator(monkeypatch, t_dependent):
+    # constant data on every Dirichlet face: the values and the data vector
+    # are taken when an operator is assembled, once per solve for a constant
+    # L_h and once per level for a t-dependent one, bitwise as per level
+    bc = _mixed_allen_cahn().bc
+    problem = dataclasses.replace(
+        _mixed_allen_cahn(),
+        coeffs=CoefficientField(a=(1.0, 2.0), c=0.5, time_dependent=t_dependent),
+        bc=BoundarySpec({**bc.faces, "y+": BoundaryCondition("dirichlet", 0.3)}, 2),
+    )
+    assert not problem.bc.dirichlet_data_varies
+    M = 12
+    args = (problem, build_graded(M, 1.0, 2.0), Grid(2, 8, 2.0 * math.pi))
+    calls = {"dirichlet_values": 0, "data_vector": 0}
+    with monkeypatch.context() as mp:
+        for name in calls:
+            def wrapped(*a, _fn=getattr(DiscreteOperator, name), _name=name, **kw):
+                calls[_name] += 1
+                return _fn(*a, **kw)
+
+            mp.setattr(DiscreteOperator, name, wrapped)
+        sol = solve_pde(*args)
+    n_ops = M if t_dependent else 1
+    assert calls == {"dirichlet_values": n_ops, "data_vector": n_ops}
+    with monkeypatch.context() as mp:
+        mp.setattr(BoundarySpec, "dirichlet_data_varies", property(lambda self: True))
+        per_level = solve_pde(*args)
+    assert np.array_equal(sol.fields, per_level.fields) and _same_counts(sol, per_level)
+    assert np.all(sol.fields.reshape(M + 1, *sol.grid.shape)[1:, :, -1] == 0.3)
 
 
 def test_node_coordinates_once_per_operator_dirichlet_data_once_per_level(monkeypatch):
