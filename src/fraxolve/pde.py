@@ -3,21 +3,27 @@
     kappa_{m,m} U^m + L_h U^m + f(z, t_m, U^m) = F^m
 
 with damped Newton, an M-matrix Jacobian under the step restriction, and
-range preservation for invariant-range reactions.  Level 1 starts Newton
-from U^0; level m >= 2 from a Lagrange extrapolation of the levels before
-it in the variable s = t^alpha.  Near t = 0 the solution behaves like
-u(0) + c t^alpha + O(t^{2 alpha}) (Stynes-O'Riordan-Gracia, SIAM J. Numer.
-Anal. 2017), smooth in s where it is singular in t, and on a graded mesh
-the s-steps grow far less than the t-steps, so an extrapolation in s
-overshoots far less than one in t.  Levels 2-5 extrapolate linearly through
-U^{m-2} and U^{m-1}.  From level 6 on, each degree p = 1, 2, 3 predicts
-U^{m-1} from the p + 1 levels before it, and the degree whose prediction
-erred least in max-norm extrapolates U^m: the order selection of
-variable-order predictors (Brenan-Campbell-Petzold, 1996), with no knob.
-The weights depend only on the mesh and alpha, and are built once per
-solve.  A start accurate to the Newton tolerance takes no Newton step at
-all.  The start is clipped to the reaction's invariant range when there is
-one, where the solution lies and a truncated reaction has its derivative.
+range preservation for invariant-range reactions.  Each level starts
+Newton from a Lagrange extrapolation, in the variable s = t^alpha, of
+*solved* levels only: level 0 and each level whose Newton loop took a step.
+A start accurate to the Newton tolerance takes no step, and that level's
+U^m is its start, an extrapolation itself; extrapolating again from it
+would multiply its error by the Lebesgue constant (up to 15 for a cubic),
+so such a level enters the history sum but is never a node.  A predictor
+extrapolates only from converged corrector values (Brenan-Campbell-Petzold,
+1996).  Near t = 0 the solution behaves like u(0) + c t^alpha + O(t^{2
+alpha}) (Stynes-O'Riordan-Gracia, SIAM J. Numer. Anal. 2017), smooth in s
+where it is singular in t, and on a graded mesh the s-steps grow far less
+than the t-steps, so an extrapolation in s overshoots far less than one in
+t.  While level 0 is the only node a level starts from U^0, and while it
+is among the five latest nodes from the line through the two latest.  Each
+level solved after that is back-predicted from the four nodes before it
+with degree p = 1, 2, 3, and the degree that erred least in max-norm
+extrapolates through the p + 1 latest nodes: the order selection of
+variable-order predictors, with no knob.  When every level takes a step,
+the nodes are consecutive levels and their rows a view.  The start is
+clipped to the reaction's invariant range when there is one, where the
+solution lies and a truncated reaction has its derivative.
 
 Each assembled L_h passes ``spatial.check_max_principle`` (an M-matrix)
 and gets one solver object whose ``solve(shift, rhs, m, tol, eta)`` makes the
@@ -73,6 +79,7 @@ kept.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
@@ -125,6 +132,7 @@ class SolutionHistory:
     mesh: TemporalMesh
     grid: Grid
     fields: np.ndarray  # (M+1, n_nodes) full nodal fields
+    # 0: the level kept its predicted start and is no predictor node (module docstring)
     newton_iters: list[int] = field(default_factory=list)
     residuals: list[float] = field(default_factory=list)
     lin_iters: list[int] = field(default_factory=list)  # CG iterations; 1 per direct solve
@@ -198,9 +206,9 @@ class _ShiftedMatrix:
         if self.fast is not None:
             lo, hi = float(np.min(shift)), float(np.max(shift))
             if lo > -self.fast.lam_min:
-                rtol = max(eta, 0.1 * tol / float(np.linalg.norm(rhs)))
-                rtol = max(_CG_RTOL, min(1e-2, rtol))
-                return self._pcg(shift, rhs, 0.5 * (lo + hi), m, rtol)
+                rhs_norm = math.sqrt(rhs.dot(rhs))  # as in _pcg
+                rtol = max(_CG_RTOL, min(1e-2, max(eta, 0.1 * tol / rhs_norm)))
+                return self._pcg(shift, rhs, 0.5 * (lo + hi), m, rtol, rhs_norm)
         try:
             lu = spla.splu(self._with_shift(shift))
         except RuntimeError as err:  # "Factor is exactly singular"
@@ -214,7 +222,9 @@ class _ShiftedMatrix:
         J.data[diag_pos] = self.a_diag + shift
         return J
 
-    def _pcg(self, shift, rhs: np.ndarray, s: float, m: int, rtol: float) -> tuple[np.ndarray, int]:
+    def _pcg(
+        self, shift, rhs: np.ndarray, s: float, m: int, rtol: float, rhs_norm: float
+    ) -> tuple[np.ndarray, int]:
         """CG on A + diag(shift), preconditioned by (A + s I)^{-1}, to relative residual rtol.
 
         ``fast`` exists only where it inverts A + s I exactly, so with
@@ -223,14 +233,16 @@ class _ShiftedMatrix:
         matrix is q = w + (shift - s) p: no matrix-vector product at all
         (Eisenstat, SISC 1981).  The update order is scipy's ``cg``: the
         stopping test on the recursive residual, then rho, beta, alpha, x, r.
+        ``rhs_norm`` is ||rhs||_2; the 2-norms are sqrt(r.r), the value
+        ``np.linalg.norm`` returns for a real vector, at half its cost.
         """
         apply = self.fast.at(s)
         extra = shift - s
         x = np.zeros_like(rhs)
         r = rhs.copy()
-        atol = rtol * float(np.linalg.norm(rhs))
+        atol = rtol * rhs_norm
         for k in range(_CG_MAXITER):
-            if np.linalg.norm(r) < atol:
+            if math.sqrt(r.dot(r)) < atol:
                 return x, k
             z = apply(r)
             rho = np.dot(r, z)
@@ -247,7 +259,7 @@ class _ShiftedMatrix:
             x += alpha * p
             r -= alpha * q
             rho_prev = rho
-        lin_res = float(np.linalg.norm(rhs - self._with_shift(shift) @ x) / np.linalg.norm(rhs))
+        lin_res = float(np.linalg.norm(rhs - self._with_shift(shift) @ x)) / rhs_norm
         raise NonconvergenceError(
             m, lin_res,
             f"CG did not reach relative residual {rtol:.3g} in {_CG_MAXITER} "
@@ -349,10 +361,10 @@ def _newton_level(
 
     ``solver`` serves both products of a step: L_h u in the residual
     (``matvec``; in 1D from the tridiagonal solver's own diagonals) and the
-    solve with L_h + diag(kmm + f_s).  ``u_start`` is U^0 at level 1 and,
-    after it, the extrapolation in t^alpha (``_extrapolate``) clipped to
-    ``f.range`` (module docstring); a start that already meets the
-    tolerance is returned after 0 steps.  ``g_dir`` is the Dirichlet data's
+    solve with L_h + diag(kmm + f_s).  ``u_start`` is U^0 while level 0 is
+    the only solved level, else the extrapolation in t^alpha of solved
+    levels (``_Predictor``) clipped to ``f.range`` (module docstring); a
+    start that already meets the tolerance is returned after 0 steps.  ``g_dir`` is the Dirichlet data's
     contribution to L_h u.  Returns U^m, the Newton steps, the final
     residual inf-norm (<= the tolerance ``cfg.nonlin_tol * max(1,
     max|Fm|)``), the linear iterations and the Picard steps.
@@ -401,42 +413,85 @@ def _newton_level(
     raise NonconvergenceError(m, rnorm)
 
 
-def _extrapolation_weights(s: np.ndarray) -> np.ndarray:
-    """Lagrange extrapolation in s: ``W[k, p - 1] @ y[k - 4:k + 1]`` is the
-    degree-p extrapolation of y_k from y_{k-1-p}, ..., y_{k-1}, minus y_k.
+def _lagrange_weights(xs: list[float], x: float) -> list[float]:
+    """The Lagrange basis polynomials of the 2-4 distinct nodes ``xs``, evaluated at x.
 
-    For degree p = 1, 2, 3 and k >= p + 1, ``W[k, p - 1, 3 - q]`` (q = 0..p)
-    is the Lagrange basis polynomial of the nodes s_{k-1}, ..., s_{k-1-p}
-    that belongs to s_{k-1-q}, evaluated at s_k, and ``W[k, p - 1, 4]`` is
-    -1; every other weight is 0.  One pass over the mesh, vectorized over k.
+    Closed forms in Python floats, with d_i = x - x_i and h_ij = x_i - x_j:
+    a level's weights cost less than one array operation.
     """
-    W = np.zeros((s.size, 3, 5))
-    W[:, :, 4] = -1.0
-    for p in (1, 2, 3):
-        k = np.arange(p + 1, s.size)
-        nodes = [s[k - 1 - q] for q in range(p + 1)]
-        for q, s_q in enumerate(nodes):
-            w = np.ones(k.size)
-            for j, s_j in enumerate(nodes):
-                if j != q:
-                    w *= (s[k] - s_j) / (s_q - s_j)
-            W[k, p - 1, 3 - q] = w
-    return W
+    if len(xs) == 2:
+        x0, x1 = xs
+        h01 = x0 - x1
+        return [(x - x1) / h01, (x0 - x) / h01]
+    if len(xs) == 3:
+        x0, x1, x2 = xs
+        d0, d1, d2 = x - x0, x - x1, x - x2
+        h01, h02, h12 = x0 - x1, x0 - x2, x1 - x2
+        return [d1 * d2 / (h01 * h02), -d0 * d2 / (h01 * h12), d0 * d1 / (h02 * h12)]
+    x0, x1, x2, x3 = xs
+    d0, d1, d2, d3 = x - x0, x - x1, x - x2, x - x3
+    h01, h02, h03, h12, h13, h23 = x0 - x1, x0 - x2, x0 - x3, x1 - x2, x1 - x3, x2 - x3
+    return [
+        d1 * d2 * d3 / (h01 * h02 * h03),
+        -d0 * d2 * d3 / (h01 * h12 * h13),
+        d0 * d1 * d3 / (h02 * h12 * h23),
+        -d0 * d1 * d2 / (h03 * h13 * h23),
+    ]
 
 
-def _extrapolate(W: np.ndarray, H: np.ndarray, m: int) -> np.ndarray:
-    """The Newton start of level m >= 2 from the rows H = U^{max(0, m-5)}, ..., U^{m-1}.
+def _rows(fields: np.ndarray, levels: list[int]) -> np.ndarray:
+    """``fields[levels]`` for increasing levels: a view when they are consecutive, else a gather."""
+    if levels[-1] - levels[0] == len(levels) - 1:
+        return fields[levels[0]:levels[-1] + 1]
+    return fields[levels]
 
-    Levels 2-5 extrapolate linearly in s = t^alpha.  From level 6 on, each
-    degree p = 1, 2, 3 predicts U^{m-1} from the levels before it, and the
-    degree whose prediction errs least in max-norm over the nodes of H
-    extrapolates U^m (module docstring).  ``W`` is ``_extrapolation_weights(t^alpha)``.
+
+class _Predictor:
+    """Newton starts extrapolated in s = t^alpha through solved levels only (module docstring).
+
+    ``nodes`` are the last <= 5 solved levels of ``fields``, level 0 first;
+    ``p`` is the degree of the next extrapolation, 1 until level 0 leaves
+    ``nodes``.  ``bounds`` is the reaction's invariant range, or None.
     """
-    if m < 6:
-        return W[m, 0, 2:4] @ H[-2:]
-    err = W[m - 1] @ H
-    np.abs(err, out=err)
-    return W[m, int(np.argmin(err.max(axis=1))), :4] @ H[1:]
+
+    def __init__(self, fields: np.ndarray, s: list[float], bounds: tuple[float, float] | None):
+        self.fields = fields
+        self.s = s  # t_m^alpha, Python floats
+        self.bounds = bounds
+        self.nodes = [0]
+        self.p = 1
+
+    def start(self, m: int, unk: np.ndarray) -> np.ndarray:
+        """Level m's start at the unknowns: U^0 while it is the only node, else the
+        extrapolation through the p + 1 latest nodes, clipped to ``bounds``."""
+        nodes = self.nodes
+        if len(nodes) == 1:
+            return self.fields[0][unk]
+        q = nodes[-1 - self.p:]
+        s = self.s
+        # whole rows: a view, where a slice of the unknowns would copy them
+        u = np.dot(_lagrange_weights([s[j] for j in q], s[m]), _rows(self.fields, q))[unk]
+        if self.bounds is not None:  # the ufunc pair costs less than np.clip's wrappers
+            np.maximum(u, self.bounds[0], out=u)
+            np.minimum(u, self.bounds[1], out=u)
+        return u
+
+    def solved(self, m: int) -> None:
+        """Make level m, which took a Newton step, a node.  Once level 0 has
+        left the nodes, back-predict U^m from the four nodes before it with
+        each degree p = 1, 2, 3: one (3 x 5) @ (5 x n) product, the minus
+        one folded into the weights; the best in max-norm is the next ``p``."""
+        nodes = self.nodes
+        nodes.append(m)
+        if len(nodes) > 5:
+            del nodes[0]
+        if nodes[0] == 0:
+            return
+        xs = [self.s[j] for j in nodes]
+        E = [[0.0] * (3 - p) + _lagrange_weights(xs[3 - p:4], xs[4]) + [-1.0] for p in (1, 2, 3)]
+        err = np.array(E) @ _rows(self.fields, nodes)
+        np.abs(err, out=err)
+        self.p = 1 + int(np.argmin(err.max(axis=1)))
 
 
 def solve_pde(
@@ -461,8 +516,7 @@ def solve_pde(
 
     fields = np.empty((mesh.M + 1, grid.n_nodes))
     fields[0] = problem.initial_field(grid)
-    W = _extrapolation_weights(mesh.nodes**alpha)
-    s_range = problem.f.range
+    predictor = _Predictor(fields, (mesh.nodes**alpha).tolist(), problem.f.range)
     data_varies = problem.bc.dirichlet_data_varies
 
     out = SolutionHistory(mesh=mesh, grid=grid, fields=fields)
@@ -481,18 +535,13 @@ def solve_pde(
         unk = op.unknown_flat
         # F sums whole rows; keep the unknowns (a column-indexed slice would copy m rows)
         Fm = F[unk]
-        if m == 1:
-            u_start = fields[0][unk]
-        else:  # whole rows: a view, where a slice of the unknowns would copy five rows
-            u_start = _extrapolate(W, fields[max(0, m - 5):m], m)[unk]
-            if s_range is not None:  # the ufunc pair costs less than np.clip's wrappers
-                np.maximum(u_start, s_range[0], out=u_start)
-                np.minimum(u_start, s_range[1], out=u_start)
         u, iters, rnorm, lin_it, picard = _newton_level(
-            problem.f, t_m, kmm, Fm, g_dir, u_start,
+            problem.f, t_m, kmm, Fm, g_dir, predictor.start(m, unk),
             op.unknown_points, cfg, m, solver,
         )
         fields[m] = op.scatter(u, g)
+        if iters:
+            predictor.solved(m)
         out.newton_iters.append(iters)
         out.residuals.append(rnorm)
         out.lin_iters.append(lin_it)

@@ -363,7 +363,7 @@ class TestFastLinearSolve:
         solve = fraxolve.pde._ShiftedMatrix.solve
         with monkeypatch.context() as mp:
             mp.setattr(fraxolve.pde._ShiftedMatrix, "_pcg",
-                       lambda self, shift, rhs, s, m, rtol: pcg(self, shift, rhs, s, m, 1e-13))
+                       lambda self, shift, rhs, s, m, rtol, rhs_norm: pcg(self, shift, rhs, s, m, 1e-13, rhs_norm))
             full = solve_pde(problem, mesh, grid)
         scaled = []
 
@@ -400,9 +400,9 @@ class TestFastLinearSolve:
         rtols = []
         pcg = fraxolve.pde._ShiftedMatrix._pcg
 
-        def recording_pcg(self, shift, rhs, s, m, rtol):
+        def recording_pcg(self, shift, rhs, s, m, rtol, rhs_norm):
             rtols.append(rtol)
-            return pcg(self, shift, rhs, s, m, rtol)
+            return pcg(self, shift, rhs, s, m, rtol, rhs_norm)
 
         monkeypatch.setattr(fraxolve.pde._ShiftedMatrix, "_pcg", recording_pcg)
         for N in (16, 64, 200):
@@ -462,9 +462,45 @@ class TestFastLinearSolve:
             iters = []
             want, info = spla.cg((A + sp.diags(shift)).tocsc(), rhs, rtol=rtol, atol=0.0,
                                  M=pre, callback=iters.append)
-            x, n_lin = fraxolve.pde._ShiftedMatrix.of(A, fast)._pcg(shift, rhs, s, 1, rtol)
+            x, n_lin = fraxolve.pde._ShiftedMatrix.of(A, fast)._pcg(shift, rhs, s, 1, rtol, np.linalg.norm(rhs))
             assert info == 0 and n_lin == len(iters) > 1
             assert _rel_err(x, want) <= 1e-12
+
+    def test_norms_as_sqrt_of_dot_leave_table_slice_bitwise(self, monkeypatch):
+        # the benchmark's table_slice solves (N = 2M, M = 16, 32), once as
+        # shipped and once with every 2-norm of the CG taken by np.linalg.norm
+        def pcg_with_linalg_norms(self, shift, rhs, s, m, rtol, rhs_norm):
+            assert rhs_norm == np.linalg.norm(rhs)
+            apply, extra = self.fast.at(s), shift - s
+            x, r = np.zeros_like(rhs), rhs.copy()
+            for k in range(fraxolve.pde._CG_MAXITER):
+                if np.linalg.norm(r) < rtol * np.linalg.norm(rhs):
+                    return x, k
+                z = apply(r)
+                rho = np.dot(r, z)
+                if k:
+                    beta = rho / rho_prev
+                    p *= beta
+                    p += z
+                    w *= beta
+                    w += r
+                else:
+                    p, w = z, r.copy()
+                q = w + extra * p
+                alpha = rho / np.dot(p, q)
+                x += alpha * p
+                r -= alpha * q
+                rho_prev = rho
+            raise AssertionError("no convergence")
+
+        runs = [(allen_cahn_problem(0.5), build_graded(M, 1.0, 3.0), Grid(2, N, math.pi))
+                for M, N in ((16, 32), (32, 32), (32, 64), (64, 64))]
+        shipped = [solve_pde(*run) for run in runs]
+        monkeypatch.setattr(fraxolve.pde._ShiftedMatrix, "_pcg", pcg_with_linalg_norms)
+        for sol, run in zip(shipped, runs):
+            ref = solve_pde(*run)
+            assert _same_counts(sol, ref)
+            np.testing.assert_array_equal(sol.fields, ref.fields)
 
     @pytest.mark.parametrize("s", [0.7, 5.0, 1e3])
     def test_constant_shift_takes_one_cg_iteration(self, s):
@@ -922,20 +958,46 @@ def _lagrange(s_nodes, rows, s_at):
     return out
 
 
-def _reference_start(s, U, m):
-    """Level m's unclipped start from U[:m], recomputed level by level (pde module docstring)."""
-    def extrapolate(p, k):  # degree p through levels k-1-p..k-1, at s_k
-        idx = range(k - 1 - p, k)
-        return _lagrange([s[j] for j in idx], [U[j] for j in idx], s[k])
+def _reference_start(s, U, m, solved):
+    """Level m's unclipped start from the solved levels j < m (``solved[j]``),
+    recomputed term by term (pde module docstring)."""
+    nodes = [j for j in range(m) if solved[j]]
+    if len(nodes) == 1:
+        return U[0]
+
+    def extrapolate(p, before, at):  # degree p through the p + 1 latest of the levels ``before``, at s[at]
+        idx = before[-1 - p:]
+        return _lagrange([s[j] for j in idx], [U[j] for j in idx], s[at])
 
     p = 1
-    if m >= 6:
-        p = 1 + int(np.argmin([np.max(np.abs(extrapolate(q, m - 1) - U[m - 1])) for q in (1, 2, 3)]))
-    return extrapolate(p, m)
+    if len(nodes) >= 6:  # level 0 has left the five latest nodes: the latest chose the degree
+        last = nodes[-1]
+        errs = [np.max(np.abs(extrapolate(q, nodes[-5:-1], last) - U[last])) for q in (1, 2, 3)]
+        p = 1 + int(np.argmin(errs))
+    return extrapolate(p, nodes, m)
+
+
+def _solve_recording_starts(monkeypatch, problem, mesh, grid, cfg=None):
+    starts = []
+    newton_level = fraxolve.pde._newton_level
+
+    def spy(f, t, kmm, Fm, g_dir, u_start, *rest):
+        starts.append(u_start.copy())
+        return newton_level(f, t, kmm, Fm, g_dir, u_start, *rest)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(fraxolve.pde, "_newton_level", spy)
+        return solve_pde(problem, mesh, grid, cfg), np.array(starts)
+
+
+def _zero_step_fisher():
+    # march1d's shape at M = 1000, N = 64: many levels start within tolerance and take no step
+    rc = _fisher_1d_config(1000, N=64, a="1 + 0.5*sin(x)")
+    return rc.problem, rc.mesh, rc.grid, rc.solver
 
 
 class TestPredictedStart:
-    """Levels m >= 2 start Newton from the clipped extrapolation in t^alpha."""
+    """Levels m >= 2 start Newton from the clipped extrapolation in t^alpha of solved levels."""
 
     # Allen-Cahn on Grid(2, 16, pi): (alpha, r, M); s = t^alpha is graded with r alpha
     ALLEN_CAHN = {
@@ -966,6 +1028,12 @@ class TestPredictedStart:
         sol = solve_pde(allen_cahn_problem(0.5), build_graded(128, 1.0, 3.0), Grid(2, 64, math.pi))
         assert sum(sol.newton_iters) <= 160
 
+    def test_newton_step_count_guard_with_zero_step_levels(self):
+        # 815 Newton steps when 0-step levels were nodes too, 581 from solved levels only
+        sol = solve_pde(*_zero_step_fisher())
+        assert sol.newton_iters.count(0) > 300
+        assert sum(sol.newton_iters) <= 650
+
     def test_about_one_newton_step_per_level(self):
         # from U^{m-1} this run took 797 Newton steps, two per level but for three
         M = 400
@@ -976,71 +1044,91 @@ class TestPredictedStart:
         assert sum(sol.newton_iters) <= 1.1 * M
 
     def test_start_is_the_extrapolation_clipped_to_the_range(self, monkeypatch):
-        starts = []
-        newton_level = fraxolve.pde._newton_level
-
-        def spy(f, t, kmm, Fm, g_dir, u_start, *rest):
-            starts.append(u_start.copy())
-            return newton_level(f, t, kmm, Fm, g_dir, u_start, *rest)
-
-        monkeypatch.setattr(fraxolve.pde, "_newton_level", spy)
-        problem, mesh, grid = _fisher_jump(), build_graded(16, 1.0, 5.67), Grid(1, 64, 1.0)
-        sol = solve_pde(problem, mesh, grid)
-        unk = assemble(grid, problem.coeffs, 0.0, problem.bc).unknown_flat
-        U = sol.fields[:, unk]
-        s = mesh.nodes**problem.alpha
-        pred = np.array([_reference_start(s, sol.fields, m)[unk] for m in range(2, mesh.M + 1)])
-        assert pred[0].min() < -0.1 and pred[0].max() > 1.1  # unclipped, level 2 leaves [0, 1]
-        np.testing.assert_array_equal(starts[0], U[0])
-        np.testing.assert_allclose(np.array(starts[1:]), np.clip(pred, 0.0, 1.0), rtol=0, atol=1e-13)
-        assert range_check_pde(sol, 0.0, 1.0)
+        # a jump run, whose level 2 overshoots, and a run with 0-step levels,
+        # whose nodes have gaps; both reactions are Fisher's, range [0, 1]
+        jump = (_fisher_jump(), build_graded(16, 1.0, 5.67), Grid(1, 64, 1.0), None)
+        for problem, mesh, grid, cfg in (jump, _zero_step_fisher()):
+            sol, starts = _solve_recording_starts(monkeypatch, problem, mesh, grid, cfg)
+            unk = assemble(grid, problem.coeffs, 0.0, problem.bc).unknown_flat
+            s = mesh.nodes**problem.alpha
+            solved = [True] + [n > 0 for n in sol.newton_iters]
+            pred = np.array([_reference_start(s, sol.fields, m, solved)[unk] for m in range(2, mesh.M + 1)])
+            np.testing.assert_array_equal(starts[0], sol.fields[0, unk])
+            np.testing.assert_allclose(starts[1:], np.clip(pred, 0.0, 1.0), rtol=0, atol=1e-13)
+            assert range_check_pde(sol, 0.0, 1.0)
+            if cfg is None:  # unclipped, level 2 leaves [0, 1]
+                assert pred[0].min() < -0.1 and pred[0].max() > 1.1
+            else:
+                assert not all(solved)
 
 
 class TestExtrapolationWeights:
-    """``_extrapolation_weights`` and ``_extrapolate`` on given histories."""
+    """``_lagrange_weights`` and ``_Predictor`` on given histories, with gaps between the solved levels."""
 
     MESH, ALPHA = build_graded(40, 1.0, 3.0), 0.5
 
+    @staticmethod
+    def _solved(M, seed):
+        # level 0 and about two levels in three solved, at random
+        solved = np.random.default_rng(seed).uniform(size=M + 1) < 0.65
+        solved[0] = True
+        return solved
+
+    @staticmethod
+    def _starts(s, U, solved):
+        """Level m's start for m = 1..M, with the levels ``solved`` made nodes."""
+        pred = fraxolve.pde._Predictor(U, s.tolist(), None)
+        unk = np.arange(U.shape[1])
+        out = []
+        for m in range(1, U.shape[0]):
+            out.append(pred.start(m, unk))
+            if solved[m]:
+                pred.solved(m)
+        return out
+
     def test_weights_reproduce_polynomials_in_s(self):
         s = self.MESH.nodes**self.ALPHA
-        W = fraxolve.pde._extrapolation_weights(s)
-        assert W.shape == (s.size, 3, 5)
-        assert np.all(W[:, :, 4] == -1.0)
-        for p in (1, 2, 3):
-            for q in range(p + 1):
-                y = (s - 0.3) ** q
-                padded = np.concatenate([np.zeros(3), y])  # padded[k - 1:k + 4] = y[k - 4:k + 1]
-                for k in range(p + 1, s.size):
-                    assert W[k, p - 1] @ padded[k - 1:k + 4] == pytest.approx(0.0, abs=1e-12), (p, q, k)
-            assert not W[:p + 1, p - 1, :4].any()  # no weights below level p + 1
-            assert not W[:, p - 1, :3 - p].any()  # degree p reads only the p + 1 latest levels
+        rng = np.random.default_rng(2)
+        for n in (2, 3, 4):
+            for _ in range(50):  # n nodes and the level extrapolated to, 1-4 levels apart
+                levels = rng.integers(0, 8) + np.cumsum(rng.integers(1, 5, n + 1))
+                xs, x = s[levels[:-1]].tolist(), float(s[levels[-1]])
+                w = fraxolve.pde._lagrange_weights(xs, x)
+                assert len(w) == n and all(isinstance(v, float) for v in w)
+                for q in range(n):
+                    y = (np.array(xs) - 0.3) ** q
+                    assert np.dot(w, y) == pytest.approx((x - 0.3) ** q, abs=1e-12), (levels, q)
 
     def test_history_linear_in_t_alpha_and_t_2alpha_is_extrapolated_exactly(self):
-        # a + b t^alpha + c t^{2 alpha}, per node: degree 2 in s, so from level
-        # 6 on a degree >= 2 back-predicts U^{m-1} to rounding and is chosen
+        # a + b t^alpha + c t^{2 alpha}, per node: degree 2 in s, so once five
+        # levels after level 0 are solved a degree >= 2 back-predicts the
+        # latest to rounding and is chosen
         t = self.MESH.nodes
         rng = np.random.default_rng(0)
         a, b, c = rng.uniform(-1.0, 1.0, (3, 7))
         U = a + np.outer(t**self.ALPHA, b) + np.outer(t**(2 * self.ALPHA), c)
-        W = fraxolve.pde._extrapolation_weights(t**self.ALPHA)
+        lin = a + np.outer(t**self.ALPHA, b)
+        solved = self._solved(self.MESH.M, 3)
+        solved[1] = True
+        starts = self._starts(t**self.ALPHA, U, solved)
+        lin_starts = self._starts(t**self.ALPHA, lin, solved)
         for m in range(2, self.MESH.M + 1):
-            start = fraxolve.pde._extrapolate(W, U[max(0, m - 5):m], m)
-            err = np.max(np.abs(start - U[m]))
-            if m >= 6:
+            err = np.max(np.abs(starts[m - 1] - U[m]))
+            if np.count_nonzero(solved[:m]) >= 6:
                 assert err <= 1e-12, f"level {m}: {err:.3e}"
             else:  # linear in s: exact only without the t^{2 alpha} term
                 assert err > 1e-6
-                lin = fraxolve.pde._extrapolate(W, (a + np.outer(t**self.ALPHA, b))[max(0, m - 5):m], m)
-                np.testing.assert_allclose(lin, a + t[m] ** self.ALPHA * b, rtol=0, atol=1e-13)
+                np.testing.assert_allclose(lin_starts[m - 1], lin[m], rtol=0, atol=1e-13)
+        assert np.count_nonzero(solved[:-1]) >= 6 and not solved.all()
 
     def test_start_matches_the_reference_on_a_random_history(self):
         s = self.MESH.nodes**self.ALPHA
         U = np.random.default_rng(1).standard_normal((s.size, 5))
-        W = fraxolve.pde._extrapolation_weights(s)
-        for m in range(2, self.MESH.M + 1):
-            want = _reference_start(s, U, m)
-            got = fraxolve.pde._extrapolate(W, U[max(0, m - 5):m], m)
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+        for seed in (4, 5, 6):
+            solved = self._solved(self.MESH.M, seed)
+            for m, got in enumerate(self._starts(s, U, solved), start=1):
+                want = _reference_start(s, U, m, solved)
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
 
 
 class TestNewtonExits:
