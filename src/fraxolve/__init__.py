@@ -30,7 +30,7 @@ from .mesh import (
     verify_quasi_graded,
 )
 from .nonlinearity import Nonlinearity, builtin, truncate
-from .pde import Problem, SolutionHistory, range_check_pde, solve_pde
+from .pde import Problem, SolutionHistory, solve_pde
 from .scalar import (
     NonconvergenceError,
     ScalarTrajectory,
@@ -65,7 +65,7 @@ __all__ = [
     "FracParams", "TemporalMesh", "build_graded", "check_step_restriction",
     "verify_quasi_graded",
     "Nonlinearity", "builtin", "truncate",
-    "Problem", "SolutionHistory", "range_check_pde", "solve_pde",
+    "Problem", "SolutionHistory", "solve_pde",
     "NonconvergenceError", "ScalarTrajectory", "SolverConfig",
     "StepRestrictionWarning", "error_envelope", "range_check", "solve_scalar",
     "BoundaryCondition", "BoundarySpec", "CoefficientField", "Grid",

@@ -40,7 +40,6 @@ class CaputoWeights:
 
     m: int
     kappa: np.ndarray
-    alpha: float
 
     def __post_init__(self):
         k = np.asarray(self.kappa, dtype=float)
@@ -135,7 +134,7 @@ def l1_weights(mesh: TemporalMesh, alpha: float, m: int) -> CaputoWeights:
     buf = np.empty(m)
     d = _l1_increments(mesh.nodes, tau, 1.0 - alpha, m, 1, np.empty(m), buf, tau[-1])
     k = _l1_kappa(d, buf, tau * gamma(2.0 - alpha))
-    return CaputoWeights(m=m, kappa=np.append(k[0], d[0, m - 1]), alpha=alpha)
+    return CaputoWeights(m=m, kappa=np.append(k[0], d[0, m - 1]))
 
 
 def _block_rows(M: int, n: int) -> int:
@@ -198,7 +197,7 @@ def _settled_sums(K: np.ndarray, H: np.ndarray, G: np.ndarray) -> None:
 
 def march(mesh: TemporalMesh, alpha: float, U: np.ndarray):
     """Yield (m, kappa_{m,m}, F^m = kappa_{m,0..m-1} @ U[:m]) for m = 1..M; the
-    caller owns the (M+1, ...) history U and writes U[m] before the next level.
+    caller owns the (M+1,) or (M+1, n) history U and writes U[m] before the next level.
 
     Levels m0..m0+B-1 run as one block (B from ``_block_rows``).  Their
     increments only depend on the mesh, so the kernel ``l1_weights`` uses fills
@@ -228,21 +227,21 @@ def march(mesh: TemporalMesh, alpha: float, U: np.ndarray):
 
     Either way F^m equals the whole-row product up to the rounding of another
     summation order, and never shares the work arrays.  Raises ValueError
-    unless 0 < alpha < 1.
+    unless 0 < alpha < 1 and U has one or two dimensions.
     """
     _check_alpha(alpha)
+    if U.ndim > 2:
+        raise ValueError(f"history must be (M+1,) or (M+1, n), got shape {U.shape}")
     M = mesh.M
-    # a view, so the caller's writes show; matmul takes 1D and 2D histories as they are
-    hist = U if U.ndim <= 2 else np.reshape(U, (M + 1, -1), copy=False)
-    n = hist[0].size
+    n = U[0].size
     tau = mesh.steps
     tau_g = tau * gamma(2.0 - alpha)
     beta = 1.0 - alpha
     lift = tau.min()
     B = _block_rows(M, n)
-    d, k, G = np.empty(B * M), np.empty(B * M), np.empty((B,) + hist.shape[1:])
+    d, k, G = np.empty(B * M), np.empty(B * M), np.empty((B,) + U.shape[1:])
     if n < B:  # difference the history, not the panel
-        w = np.empty(hist.shape)  # w[j] for j = 1..m-1 at level m; w[0] is unused
+        w = np.empty(U.shape)  # w[j] for j = 1..m-1 at level m; w[0] is unused
         G[:] = 0.0  # the first block has no settled differences
         for m0 in range(1, M + 1, B):
             nb = min(B, M + 1 - m0)
@@ -250,33 +249,32 @@ def march(mesh: TemporalMesh, alpha: float, U: np.ndarray):
             for b in range(nb):
                 m = m0 + b
                 if m > 1:  # the caller has written U^{m-1}
-                    w[m - 1] = (hist[m - 1] - hist[m - 2]) / tau_g[m - 2]
+                    w[m - 1] = (U[m - 1] - U[m - 2]) / tau_g[m - 2]
                     if b == 0:
                         _settled_sums(dp[:, : m0 - 1], w[1:m0], G[:nb])
                 kmm = dp[b, m - 1] / tau_g[m - 1]
                 F = dp[b, m0 - 1 : m - 1] @ w[m0:m]
                 F += G[b]
-                F = kmm * hist[m - 1] - F
-                yield m, float(kmm), F if hist is U else F.reshape(U.shape[1:])
+                F = kmm * U[m - 1] - F
+                yield m, float(kmm), F
         return
     for m0 in range(1, M + 1, B):
         nb = min(B, M + 1 - m0)
         dp = _l1_increments(mesh.nodes, tau, beta, m0, nb, d, k, lift)
         kp = _l1_kappa(dp, k, tau_g)
-        _settled_sums(kp[:, :m0], hist[:m0], G[:nb])
+        _settled_sums(kp[:, :m0], U[:m0], G[:nb])
         for b in range(nb):
             m = m0 + b
-            F = kp[b, m0:m] @ hist[m0:m]
+            F = kp[b, m0:m] @ U[m0:m]
             F += G[b]
-            yield m, float(dp[b, m - 1]), F if hist is U else F.reshape(U.shape[1:])
+            yield m, float(dp[b, m - 1]), F
 
 
 def history_load(weights: CaputoWeights, history) -> np.ndarray | float:
-    """F^m = sum_{j<m} kappa_{m,j} U^j.
+    """F^m = sum_{j<m} kappa_{m,j} U^j for the history U^0..U^{m-1}, shaped (m,) or (m, n).
 
-    ``history`` holds U^0..U^{m-1}; each U^j may be a scalar or a nodal array
-    (history shaped (m,) or (m, n)).  np.dot uses blocked/pairwise accumulation,
-    which keeps roundoff controlled on long histories.
+    No solver calls it.  It stays only because ``perfbench/tracing.py`` patches
+    ``fraxolve.scalar.history_load`` by name, and goes when the tracer stops that.
     """
     hist = np.asarray(history, dtype=float)
     if hist.shape[0] != weights.m:
@@ -292,5 +290,5 @@ def apply_delta(mesh: TemporalMesh, alpha: float, values) -> np.ndarray | float:
         raise ValueError("need at least two values (U^0 and U^1)")
     m = vals.shape[0] - 1
     w = l1_weights(mesh, alpha, m)
-    out = w.diag * vals[m] - history_load(w, vals[:m])
+    out = w.diag * vals[m] - np.dot(w.kappa[:m], vals[:m])
     return float(out) if np.ndim(out) == 0 else out

@@ -17,8 +17,9 @@ from .config import ConfigError, parse_config
 from .harness import BudgetError, TableSpec, restriction_violations, rows_to_csv, table_run
 from .mesh import FracParams, build_graded, check_step_restriction, verify_quasi_graded
 from .nonlinearity import builtin
-from .pde import range_check_pde, solve_pde
-from .scalar import NonconvergenceError, SolverConfig, range_check, solve_scalar
+from .pde import solve_pde
+from .scalar import (_SCALAR_CFG, NonconvergenceError, StepRestrictionWarning, range_check,
+                     solve_scalar)
 from .spatial import (BoundarySpec, CoefficientField, Grid, MaxPrincipleError, assemble,
                       check_max_principle)
 from .special import mittag_leffler
@@ -65,7 +66,7 @@ def _cmd_scalar(args) -> int:
         return _config_error(e)
     try:
         traj = solve_scalar(f, args.u0, mesh, args.alpha)
-    except (NonconvergenceError, ValueError) as e:
+    except (NonconvergenceError, ValueError, StepRestrictionWarning) as e:  # the last under -W error
         print(f"scalar solve failed: {e}", file=sys.stderr)
         return EXIT_SOLVER
     out_dir = Path(args.out)
@@ -78,7 +79,7 @@ def _cmd_scalar(args) -> int:
             w.writerow((m, f"{t:.6e}", f"{u:.6e}"))
     rng_ok = None
     if f.range is not None:
-        rng_ok = range_check(traj, *f.range)
+        rng_ok = range_check(traj.values, *f.range, _SCALAR_CFG.nonlin_tol)
     _manifest(out_dir, "scalar", {
         "command": "scalar", "version": __version__,
         "config_hash": _config_hash(json.dumps(vars(args), sort_keys=True, default=str)),
@@ -117,7 +118,7 @@ def _cmd_pde(args) -> int:
         return _config_error(e)
     try:
         sol = solve_pde(cfg.problem, cfg.mesh, cfg.grid, cfg.solver)
-    except (NonconvergenceError, ValueError) as e:
+    except (NonconvergenceError, ValueError, StepRestrictionWarning) as e:
         print(f"pde solve failed: {e}", file=sys.stderr)
         return EXIT_SOLVER
     out_dir = Path(args.out)
@@ -126,7 +127,7 @@ def _cmd_pde(args) -> int:
     _write_solution_csv(csv_path, cfg.mesh.nodes, cfg.grid.points(), sol.fields)
     rng_ok = None
     if cfg.problem.f.range is not None:
-        rng_ok = range_check_pde(sol, *cfg.problem.f.range, slack=cfg.solver.nonlin_tol)
+        rng_ok = range_check(sol.fields, *cfg.problem.f.range, cfg.solver.nonlin_tol)
     restr = check_step_restriction(cfg.mesh, FracParams(cfg.problem.alpha, cfg.problem.f.lam))
     _manifest(out_dir, "pde", {
         "command": "pde", "version": __version__, "config_hash": _config_hash(text),
@@ -197,7 +198,7 @@ def _cmd_table(args) -> int:
         return _config_error(e)
     try:
         rows = table_run(spec)
-    except (NonconvergenceError, BudgetError, ValueError) as e:
+    except (NonconvergenceError, BudgetError, ValueError, StepRestrictionWarning) as e:
         print(f"table run failed: {e}", file=sys.stderr)
         return EXIT_SOLVER
     out_dir = Path(args.out)

@@ -3,7 +3,10 @@
 A config holds one solve: ``mesh`` (``M, T, r`` or ``nodes``), ``grid``
 (``d, N, X``), ``problem`` (``alpha, f, u0, coefficients, bc``) and an
 optional ``solver``.  Unknown keys and bad values raise ConfigError with
-their path; expressions use the grammar in :mod:`fraxolve.expressions`.
+their path; expressions use the grammar in :mod:`fraxolve.expressions`.  No
+key stops a run on a violated step restriction: ``python -W error::UserWarning
+-m fraxolve.cli pde ...`` does, as ``warnings.simplefilter("error",
+StepRestrictionWarning)`` does in Python.
 """
 
 from __future__ import annotations
@@ -186,12 +189,9 @@ def _parse_bc(obj, path, d):
     for name in names:
         spec = obj[name]
         _require_keys(spec, f"{path}.{name}", ("kind",), ("value",))
-        value = spec.get("value", 0.0)
-        if isinstance(value, str):
-            value = _space_fn(_expression(value, f"{path}.{name}.value")[0])
-        else:  # a negative Robin mu breaks the maximum principle
-            value = _number(value, f"{path}.{name}.value",
-                            minimum=0.0 if spec["kind"] == "robin" else None)
+        value = _coef_entry(spec.get("value", 0.0), f"{path}.{name}.value")
+        if spec["kind"] == "robin" and not callable(value) and value < 0.0:  # L_h needs mu >= 0
+            raise ConfigError(f"{path}.{name}.value", f"must be >= 0.0, got {value}")
         try:
             faces[name] = BoundaryCondition(spec["kind"], value)
         except ValueError as e:  # an unknown kind
@@ -203,20 +203,9 @@ def _parse_bc(obj, path, d):
 
 
 def _parse_solver(obj, path):
-    fields = ("nonlin_tol", "max_newton", "strict_restriction")
-    _require_keys(obj, path, (), fields)
-    kwargs = {}
-    for k in fields:
-        if k in obj:
-            if k == "max_newton":
-                kwargs[k] = _number(obj[k], f"{path}.{k}", minimum=1, integer=True)
-            elif k == "strict_restriction":
-                if not isinstance(obj[k], bool):
-                    raise ConfigError(f"{path}.{k}", "expected a boolean")
-                kwargs[k] = obj[k]
-            else:
-                kwargs[k] = _number(obj[k], f"{path}.{k}", strict_min=0.0)
-    return SolverConfig(**kwargs)
+    rules = {"nonlin_tol": {"strict_min": 0.0}, "max_newton": {"minimum": 1, "integer": True}}
+    _require_keys(obj, path, (), tuple(rules))
+    return SolverConfig(**{k: _number(v, f"{path}.{k}", **rules[k]) for k, v in obj.items()})
 
 
 def parse_config(text: str) -> RunConfig:

@@ -98,22 +98,18 @@ class QuasiGradedReport:
     ratios: np.ndarray = field(repr=False, default=None)
 
 
-def verify_quasi_graded(
-    mesh: TemporalMesh, r: float, c_qg: float | None = None
-) -> QuasiGradedReport:
-    """Check tau_j <= C * tau^(1/r) * t_j^(1-1/r) with C = c_qg (default r + 1).
+def verify_quasi_graded(mesh: TemporalMesh, r: float) -> QuasiGradedReport:
+    """Check tau_j <= C * tau^(1/r) * t_j^(1-1/r) with C = c_qg = r + 1.
 
-    The theory only requires the ratio to be bounded; the default constant
-    admits standard graded meshes (ratio <= r) with slack for perturbations.
+    The theory only requires the ratio to be bounded; r + 1 admits standard
+    graded meshes (ratio <= r) with slack for perturbations.
     """
     if r < 1.0:
         raise ValueError(f"grading exponent must be >= 1, got {r}")
-    if c_qg is None:
-        c_qg = r + 1.0
     t = mesh.nodes[1:]
     ratios = mesh.steps / (mesh.tau ** (1.0 / r) * t ** (1.0 - 1.0 / r))
     max_ratio = float(ratios.max())
-    return QuasiGradedReport(max_ratio, float(c_qg), max_ratio <= c_qg, ratios)
+    return QuasiGradedReport(max_ratio, r + 1.0, max_ratio <= r + 1.0, ratios)
 
 
 @dataclass(frozen=True)

@@ -106,7 +106,7 @@ from .spatial import (
     fast_inverse,
 )
 
-__all__ = ["Problem", "SolverConfig", "SolutionHistory", "solve_pde", "range_check_pde"]
+__all__ = ["Problem", "SolverConfig", "SolutionHistory", "solve_pde"]
 
 _load_scipy, __getattr__ = _lazy_imports(globals(), {
     "sp": "scipy.sparse", "spla": "scipy.sparse.linalg", "dgtsv": "scipy.linalg.lapack:dgtsv",
@@ -121,7 +121,7 @@ class Problem:
     bc: BoundarySpec
     f: Nonlinearity
     u0: Callable  # u0(points) -> values at the nodes
-    alpha: float = 0.5
+    alpha: float
 
     def initial_field(self, grid: Grid) -> np.ndarray:
         return np.asarray(self.u0(grid.points()), dtype=float)
@@ -152,12 +152,12 @@ class _ShiftedMatrix:
 
     ``matvec`` is the residual's product with A itself.  ``fast`` is the
     fast inverse of A, or None.  The CG of the fast path never multiplies by
-    a shifted matrix (``_pcg``); the SuperLU solve and the residual a CG
-    failure reports take ``_with_shift``, whose CSC matrix ``_J`` is built on
-    first use.  It has the off-diagonal entries of A and a full diagonal; a
-    solve only rewrites the diagonal entries (the positions ``_J`` also
-    returns) with A's diagonal plus the shift, so the sparsity never
-    changes.
+    a shifted matrix (``_pcg``), not even for the residual a CG failure
+    reports; the SuperLU solve takes ``_with_shift``, whose CSC matrix
+    ``_J`` is built on first use.  It has the off-diagonal entries of A and
+    a full diagonal; a solve only rewrites the diagonal entries (the
+    positions ``_J`` also returns) with A's diagonal plus the shift, so the
+    sparsity never changes.
     """
 
     A: sp.spmatrix
@@ -259,7 +259,7 @@ class _ShiftedMatrix:
             x += alpha * p
             r -= alpha * q
             rho_prev = rho
-        lin_res = float(np.linalg.norm(rhs - self._with_shift(shift) @ x)) / rhs_norm
+        lin_res = float(np.linalg.norm(rhs - (self.A @ x + shift * x))) / rhs_norm
         raise NonconvergenceError(
             m, lin_res,
             f"CG did not reach relative residual {rtol:.3g} in {_CG_MAXITER} "
@@ -503,8 +503,9 @@ def solve_pde(
     """March the L1 scheme over ``mesh``; ``fields`` is the only history store."""
     cfg = cfg or SolverConfig()
     alpha = problem.alpha
-    periodic = any(problem.bc.axis_periodic(k) for k in range(grid.d))  # needs the strict form
-    _gate_step_restriction(mesh, alpha, problem.f.lam, cfg.strict_restriction or periodic)
+    # constants span a periodic L_h's kernel: the strict form keeps kappa_mm + f_s > 0
+    periodic = any(problem.bc.axis_periodic(k) for k in range(grid.d))
+    _gate_step_restriction(mesh, alpha, problem.f.lam, strict=periodic)
 
     # a 1D L_h is (cyclic) tridiagonal: one tridiagonal LU per solve costs less
     # than the set-up of SuperLU and the per-call overhead of the transforms and of CG
@@ -522,14 +523,12 @@ def solve_pde(
     out = SolutionHistory(mesh=mesh, grid=grid, fields=fields)
     for m, kmm, F in march(mesh, alpha, fields):
         t_m = float(mesh.nodes[m])
-        if m == 1 or problem.coeffs.time_dependent:
+        new_op = m == 1 or problem.coeffs.time_dependent
+        if new_op:
             op = assemble(grid, problem.coeffs, t_m, problem.bc)
             check_max_principle(op, m)
             solver = solver_of(op.matrix)
-            if not data_varies:
-                g = op.dirichlet_values()
-                g_dir = op.data_vector(g)
-        if data_varies:
+        if new_op or data_varies:
             g = op.dirichlet_values(t_m)
             g_dir = op.data_vector(g)
         unk = op.unknown_flat
@@ -547,14 +546,3 @@ def solve_pde(
         out.lin_iters.append(lin_it)
         out.picard_steps.append(picard)
     return out
-
-
-def range_check_pde(
-    hist: SolutionHistory, sigma1: float, sigma2: float, slack: float | None = None
-) -> bool:
-    """True iff all nodal values lie in [sigma1 - slack, sigma2 + slack]."""
-    if slack is None:
-        slack = SolverConfig().nonlin_tol
-    return bool(
-        np.all(hist.fields >= sigma1 - slack) and np.all(hist.fields <= sigma2 + slack)
-    )

@@ -54,11 +54,14 @@ class SolverConfig:
     one, else sparse LU.  That CG's stopping rule is an inexact-Newton
     forcing term derived from ``nonlin_tol`` and the current Newton residual,
     not a knob of its own.
+
+    A violated step restriction warns (a periodic ``solve_pde`` raises); to stop on
+    it, ``warnings.simplefilter("error", StepRestrictionWarning)``, or ``python -W
+    error::UserWarning -m fraxolve.cli ...`` (``-W`` rejects module-qualified names).
     """
 
     nonlin_tol: float = 1e-10
     max_newton: int = 30
-    strict_restriction: bool = False
 
     def __post_init__(self):
         if not self.nonlin_tol > 0:
@@ -166,8 +169,10 @@ def solve_scalar(
     alpha: float,
     cfg: SolverConfig | None = None,
 ) -> ScalarTrajectory:
+    """March from U^0 = ``u0``.  A violated step restriction warns; to stop on it,
+    ``warnings.simplefilter("error", StepRestrictionWarning)`` (see ``SolverConfig``)."""
     cfg = cfg or _SCALAR_CFG
-    _gate_step_restriction(mesh, alpha, f.lam, cfg.strict_restriction)
+    _gate_step_restriction(mesh, alpha, f.lam, strict=False)
     values = np.empty(mesh.M + 1)
     values[0] = u0
     iters = []
@@ -177,15 +182,10 @@ def solve_scalar(
     return ScalarTrajectory(mesh=mesh, values=values, newton_iters=iters)
 
 
-def range_check(
-    traj: ScalarTrajectory, sigma1: float, sigma2: float, slack: float | None = None
-) -> bool:
-    """True iff sigma1 - slack <= U^m <= sigma2 + slack for all m."""
-    if slack is None:
-        slack = _SCALAR_CFG.nonlin_tol
-    return bool(
-        np.all(traj.values >= sigma1 - slack) and np.all(traj.values <= sigma2 + slack)
-    )
+def range_check(values: np.ndarray, sigma1: float, sigma2: float, slack: float) -> bool:
+    """True iff sigma1 - slack <= v <= sigma2 + slack for every entry v of ``values``
+    (``ScalarTrajectory.values`` or ``SolutionHistory.fields``)."""
+    return bool(np.all(values >= sigma1 - slack) and np.all(values <= sigma2 + slack))
 
 
 def error_envelope(

@@ -130,6 +130,8 @@ class CoefficientField:
 
     ``a`` must be positive, h |b| <= 2 a and ``c`` nonnegative (identically zero
     when the invariant-range guarantee is claimed): see ``check_max_principle``.
+    ``solve_pde`` assembles L_h once, at t_1, unless ``time_dependent=True``,
+    so a callable that reads t needs that flag; ``parse_config`` infers it.
     """
 
     a: tuple
@@ -229,7 +231,6 @@ class DiscreteOperator:
 
     grid: Grid
     bc: BoundarySpec
-    t: float
     matrix: sp.csr_matrix
     dirichlet_coupling: sp.csr_matrix
     unknown_flat: np.ndarray
@@ -244,12 +245,9 @@ class DiscreteOperator:
     def n_unknown(self) -> int:
         return self.unknown_flat.size
 
-    def dirichlet_values(self, t: float | None = None) -> np.ndarray:
-        """The Dirichlet data at the Dirichlet nodes at time t (default: ``self.t``)."""
-        t = self.t if t is None else t
+    def dirichlet_values(self, t: float) -> np.ndarray:
+        """The Dirichlet data at the Dirichlet nodes at time t."""
         vals = np.zeros(self.dirichlet_flat.size)
-        if not vals.size:
-            return vals
         pts, face_of = self.dirichlet_points, self._dirichlet_face
         for k in np.unique(face_of):
             phi = self.bc.faces[_FACE_NAMES[self.grid.d][k]].value
@@ -260,21 +258,17 @@ class DiscreteOperator:
                 vals[sel] = float(phi if phi is not None else 0.0)
         return vals
 
-    def data_vector(self, values: np.ndarray | None = None) -> np.ndarray:
-        """Dirichlet-data contribution to the operator action at unknown nodes.
+    def data_vector(self, values: np.ndarray) -> np.ndarray:
+        """Dirichlet-data contribution to the operator action at unknown nodes, from
+        the Dirichlet node values ``values`` (``dirichlet_values``)."""
+        return self.dirichlet_coupling @ values
 
-        ``values`` are the Dirichlet node values (``dirichlet_values``), by default at ``self.t``.
-        """
-        if self.dirichlet_flat.size == 0:
-            return np.zeros(self.n_unknown)
-        return self.dirichlet_coupling @ (self.dirichlet_values() if values is None else values)
-
-    def scatter(self, u: np.ndarray, values: np.ndarray | None = None) -> np.ndarray:
+    def scatter(self, u: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Unknown-node values -> full nodal field, Dirichlet ``values`` as in ``data_vector``."""
         out = np.zeros(self.grid.n_nodes)
         out[self.unknown_flat] = u
         if self.dirichlet_flat.size:
-            out[self.dirichlet_flat] = self.dirichlet_values() if values is None else values
+            out[self.dirichlet_flat] = values
         if self.duplicate_flat.size:
             out[self.duplicate_flat] = out[self.duplicate_partner]
         return out
@@ -375,7 +369,7 @@ def assemble(
         shape=(n_unk, dirichlet_flat.size),
     )
     return DiscreteOperator(
-        grid=grid, bc=bc, t=t, matrix=A, dirichlet_coupling=B,
+        grid=grid, bc=bc, matrix=A, dirichlet_coupling=B,
         unknown_flat=unknown_flat, dirichlet_flat=dirichlet_flat,
         duplicate_flat=duplicate_flat, duplicate_partner=duplicate_partner,
         unknown_points=upts, dirichlet_points=pts[dirichlet_flat],
@@ -404,7 +398,10 @@ class FastInverse:
     overhead dominates on small grids, on Dirichlet, periodic and mixed
     axes alike; at N = 128 they take 0.47-0.6 ms against 0.64-0.8 ms (about
     a tie with two BLAS threads), and at N = 256 (Dirichlet) the transforms
-    win (2.6 ms against 3.7 ms).
+    win: 1.54-1.74 ms for a ``dstn``/``idstn`` pair against 2.85-2.87 ms for
+    the GEMMs.  No benchmark workload reaches N > 128: a line trace of the
+    three enters neither this transform path nor SuperLU, a Robin face or
+    a 2D periodic axis.
     """
 
     eigenvalues: np.ndarray  # of L_h, shaped like the unknowns

@@ -360,7 +360,8 @@ class TestPanel:
             assert kmm == w.diag
             assert np.array_equal(F[:m], w.kappa[:m])
 
-    # n = 1 and n = B - 1 take the differenced path, n = B and wider the kappa panel
+    # n = 1 and n = B - 1 take the differenced path, n = B and wider the kappa panel;
+    # a history of rank 3 is rejected at the first level
     @pytest.mark.parametrize("shape", [(), (1,), (PANEL_B - 1,), (PANEL_B,), (5,), (3, 4)])
     def test_history_shapes(self, pinned, shape):
         rng = np.random.default_rng(17)
@@ -368,6 +369,10 @@ class TestPanel:
         mesh = build_graded(M, 1.0, 2.5)
         U = np.empty((M + 1,) + shape)
         U[0] = rng.standard_normal(shape)
+        if len(shape) > 1:
+            with pytest.raises(ValueError, match=r"history must be \(M\+1,\) or \(M\+1, n\)"):
+                next(march(mesh, 0.5, U))
+            return
         for m, kmm, F in march(mesh, 0.5, U):
             w = l1_weights(mesh, 0.5, m)
             assert kmm == w.diag
@@ -377,7 +382,7 @@ class TestPanel:
             U[m] = rng.standard_normal(shape)
 
     @pytest.mark.parametrize("shape, wide", [
-        ((), False), ((1,), False), ((PANEL_B - 1,), False), ((PANEL_B,), True), ((3, 4), True),
+        ((), False), ((1,), False), ((PANEL_B - 1,), False), ((PANEL_B,), True), ((12,), True),
     ])
     def test_only_wide_histories_difference_the_panel(self, pinned, monkeypatch, shape, wide):
         calls, real = [], caputo._l1_kappa

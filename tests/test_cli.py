@@ -1,9 +1,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fraxolve
 from fraxolve.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, main
 from fraxolve.config import parse_config
 from fraxolve.pde import solve_pde
@@ -99,6 +104,29 @@ def test_bad_flags_are_config_errors(argv, tmp_path, capsys):
     assert err.startswith("config error: ")
     assert "Traceback" not in err
     assert not list(tmp_path.iterdir())  # nothing written
+
+
+@pytest.mark.parametrize("command", ["scalar", "pde", "table"])
+def test_escalated_restriction_warning_is_a_solver_error(command, tmp_path):
+    # each run violates the step restriction (lam = 2 on r > 1 steps; table1's
+    # first solve has lam = 1/0.3 on 32 uniform steps): under -W error::UserWarning
+    # the warning stops it before any output is written
+    out = tmp_path / "out"
+    if command == "scalar":
+        args = ["scalar", "--alpha", "0.5", "--r", "3", "--M", "4", "--f", "allen_cahn", "--u0", "0.4"]
+    elif command == "pde":
+        (tmp_path / "run.json").write_text(json.dumps(PDE_CONFIG))
+        args = ["pde", "--config", str(tmp_path / "run.json")]
+    else:
+        args = ["table", "--preset", "table1"]
+    env = {**os.environ, "PYTHONPATH": str(Path(fraxolve.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-W", "error::UserWarning", "-m", "fraxolve.cli", *args,
+                          "--out", str(out)], capture_output=True, text=True, env=env)
+    assert run.returncode == EXIT_SOLVER
+    failed = "run failed" if command == "table" else "solve failed"
+    assert run.stderr.startswith(f"{command} {failed}: step restriction violated: ")
+    assert "Traceback" not in run.stderr
+    assert not out.exists()
 
 
 class TestPDE:

@@ -99,11 +99,6 @@ class TestQuasiGraded:
         rep = verify_quasi_graded(mesh, 1.0)
         assert rep.max_ratio == pytest.approx(1.0, rel=1e-12)
 
-    def test_custom_bound(self):
-        mesh = build_graded(16, 1.0, 3.0)
-        rep = verify_quasi_graded(mesh, 3.0, c_qg=1.5)
-        assert not rep.passed  # max ratio for r=3 exceeds 1.5
-
     def test_non_graded_mesh_fails(self):
         # tiny first step followed by a large jump: tau_2 / tau^{1/r} t_2^{1-1/r}
         # blows up, so the mesh is not quasi-graded for r=1

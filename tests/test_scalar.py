@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -56,14 +57,14 @@ class TestSolveScalar:
         for u0 in (-0.9, -0.2, 0.0, 0.4, 1.0):
             mesh = build_graded(64, 1.0, 2.0)
             traj = solve_scalar(f, u0, mesh, alpha)
-            assert range_check(traj, -1.0, 1.0) is True
+            assert range_check(traj.values, -1.0, 1.0, 1e-12) is True
 
     def test_fisher_range_preserved(self):
         f = builtin("fisher")
         mesh = build_graded(64, 1.0, 2.0)
         for u0 in (0.0, 0.3, 1.0):
             traj = solve_scalar(f, u0, mesh, 0.7)
-            assert range_check(traj, 0.0, 1.0)
+            assert range_check(traj.values, 0.0, 1.0, 1e-12)
 
     def test_equilibria_are_fixed(self):
         alpha = 0.4
@@ -83,11 +84,12 @@ class TestSolveScalar:
         assert np.all(np.isfinite(traj.values))
 
     def test_strict_restriction_raises(self):
+        # escalating the warning stops the run before its first level
         f = builtin("allen_cahn", alpha=0.1)
         mesh = build_graded(4, 1.0, 1.0)
-        cfg = SolverConfig(strict_restriction=True)
-        with pytest.raises(ValueError, match=r"step restriction violated: .* >= .*worst j = 1\)"):
-            solve_scalar(f, 0.5, mesh, 0.5, cfg)
+        with warnings.catch_warnings(), pytest.raises(StepRestrictionWarning, match=r" > .*worst j = 1\)"):
+            warnings.simplefilter("error", StepRestrictionWarning)
+            solve_scalar(f, 0.5, mesh, 0.5)
 
     def test_non_finite_reaction_names_level_and_reason(self):
         f = Nonlinearity(eval=lambda x, t, s: np.nan * np.asarray(s), lam=0.0)
@@ -284,8 +286,8 @@ class TestRangeCheck:
         from fraxolve.scalar import ScalarTrajectory
 
         traj = ScalarTrajectory(mesh=mesh, values=traj_vals)
-        assert range_check(traj, 0.0, 1.0)  # default slack 1e-12 covers it
-        assert not range_check(traj, 0.0, 1.0, slack=1e-14)
+        assert range_check(traj.values, 0.0, 1.0, 1e-12)  # the scalar CLI's slack covers it
+        assert not range_check(traj.values, 0.0, 1.0, 1e-14)
 
 
 class TestErrorEnvelope:

@@ -118,7 +118,7 @@ class TestAssemble1D:
             cf = CoefficientField(a=(1.0,), b=(1.0,), c=1.0)
             op = assemble(grid, cf, 0.0, BoundarySpec.dirichlet0(1))
             x = grid.points()[op.unknown_flat, 0]
-            got = op.matrix @ np.sin(x) + op.data_vector()
+            got = op.matrix @ np.sin(x) + op.data_vector(op.dirichlet_values(0.0))
             errs.append(float(np.max(np.abs(got - exact_L(x)))))
         assert math.log2(errs[0] / errs[1]) == pytest.approx(2.0, abs=0.1)
         assert math.log2(errs[1] / errs[2]) == pytest.approx(2.0, abs=0.1)
@@ -133,7 +133,7 @@ class TestAssemble1D:
             op = assemble(grid, cf, 0.0, BoundarySpec.dirichlet0(1))
             x = grid.points()[op.unknown_flat, 0]
             want = (1.0 + x / 2.0) * np.sin(x) - 0.5 * np.cos(x)
-            got = op.matrix @ np.sin(x) + op.data_vector()
+            got = op.matrix @ np.sin(x) + op.data_vector(op.dirichlet_values(0.0))
             errs.append(float(np.max(np.abs(got - want))))
         assert math.log2(errs[0] / errs[1]) == pytest.approx(2.0, abs=0.1)
         assert math.log2(errs[1] / errs[2]) == pytest.approx(2.0, abs=0.1)
@@ -150,7 +150,7 @@ class TestAssemble1D:
         )
         op = assemble(grid, CoefficientField(a=(1.0,)), 0.0, bs)
         x = grid.points()[op.unknown_flat, 0]
-        res = op.matrix @ x + op.data_vector()
+        res = op.matrix @ x + op.data_vector(op.dirichlet_values(0.0))
         np.testing.assert_allclose(res, 0.0, atol=1e-11)
 
     def test_periodic_constant_in_kernel(self):
@@ -164,7 +164,7 @@ class TestAssemble1D:
         grid = Grid(1, 8, 1.0)
         op = assemble(grid, CoefficientField(a=(1.0,)), 0.0, BoundarySpec.all_periodic(1))
         u = np.arange(8.0)
-        full = op.scatter(u)
+        full = op.scatter(u, op.dirichlet_values(0.0))
         assert full[8] == full[0]
 
     def test_periodic_n2_sums_both_neighbours_into_one_column(self):
@@ -278,10 +278,10 @@ class TestAssemble2D:
         op = assemble(grid, cf, 0.0, BoundarySpec.dirichlet0(2))
         rng = np.random.default_rng(0)
         u = rng.standard_normal(op.n_unknown)
-        full = op.scatter(u)
+        full = op.scatter(u, op.dirichlet_values(0.0))
         act = op.apply(full)
         np.testing.assert_allclose(
-            act[op.unknown_flat], op.matrix @ u + op.data_vector(), rtol=1e-12, atol=1e-12
+            act[op.unknown_flat], op.matrix @ u + op.data_vector(op.dirichlet_values(0.0)), rtol=1e-12, atol=1e-12
         )
 
 
