@@ -263,7 +263,7 @@ def rows_to_csv(rows: list[dict]) -> str:
                 f"{row['alpha']:g}",
                 f"{row['r']:g}",
                 row["M"],
-                row["N"] if row["N"] is not None else "",
+                row["N"],
                 row["study"],
                 f"{row['err']:.6e}",
                 f"{row['rate']:.6e}" if row["rate"] is not None else "",

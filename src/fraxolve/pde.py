@@ -15,15 +15,13 @@ extrapolates only from converged corrector values (Brenan-Campbell-Petzold,
 alpha}) (Stynes-O'Riordan-Gracia, SIAM J. Numer. Anal. 2017), smooth in s
 where it is singular in t, and on a graded mesh the s-steps grow far less
 than the t-steps, so an extrapolation in s overshoots far less than one in
-t.  While level 0 is the only node a level starts from U^0, and while it
-is among the five latest nodes from the line through the two latest.  Each
-level solved after that is back-predicted from the four nodes before it
-with degree p = 1, 2, 3, and the degree that erred least in max-norm
-extrapolates through the p + 1 latest nodes: the order selection of
-variable-order predictors, with no knob.  When every level takes a step,
-the nodes are consecutive levels and their rows a view.  The start is
-clipped to the reaction's invariant range when there is one, where the
-solution lies and a truncated reaction has its derivative.
+t.  The nodes are the four latest solved levels.  While level 0 is the
+only node a level starts from U^0, while it is among the nodes from the
+line in s through the two latest, and after that from the cubic in s
+through all four.  When every level takes a step, the nodes are
+consecutive levels and their rows a view.  The start is clipped to the
+reaction's invariant range when there is one, where the solution lies and
+a truncated reaction has its derivative.
 
 Each assembled L_h passes ``spatial.check_max_principle`` (an M-matrix)
 and gets one solver object whose ``solve(shift, rhs, m, tol, eta)`` makes the
@@ -132,7 +130,7 @@ class SolutionHistory:
     mesh: TemporalMesh
     grid: Grid
     fields: np.ndarray  # (M+1, n_nodes) full nodal fields
-    # 0: the level kept its predicted start and is no predictor node (module docstring)
+    # 0: the level kept its extrapolated start and is no extrapolation node (module docstring)
     newton_iters: list[int] = field(default_factory=list)
     residuals: list[float] = field(default_factory=list)
     lin_iters: list[int] = field(default_factory=list)  # CG iterations; 1 per direct solve
@@ -351,20 +349,19 @@ def _newton_level(
     kmm: float,
     Fm: np.ndarray,
     g_dir: np.ndarray,
-    u_start: np.ndarray,
+    u: np.ndarray,
     pts: np.ndarray,
     cfg: SolverConfig,
     m: int,
     solver: _ShiftedMatrix | _ShiftedTridiag,
 ):
-    """U^m by damped Newton on the level's residual, from ``u_start``.
+    """U^m by damped Newton on the level's residual, from the start ``u``.
 
     ``solver`` serves both products of a step: L_h u in the residual
     (``matvec``; in 1D from the tridiagonal solver's own diagonals) and the
-    solve with L_h + diag(kmm + f_s).  ``u_start`` is U^0 while level 0 is
-    the only solved level, else the extrapolation in t^alpha of solved
-    levels (``_Predictor``) clipped to ``f.range`` (module docstring); a
-    start that already meets the tolerance is returned after 0 steps.  ``g_dir`` is the Dirichlet data's
+    solve with L_h + diag(kmm + f_s).  ``u`` is ``_start``'s, which each
+    step replaces, never writes; a start that already meets the tolerance
+    is returned after 0 steps.  ``g_dir`` is the Dirichlet data's
     contribution to L_h u.  Returns U^m, the Newton steps, the final
     residual inf-norm (<= the tolerance ``cfg.nonlin_tol * max(1,
     max|Fm|)``), the linear iterations and the Picard steps.
@@ -374,7 +371,6 @@ def _newton_level(
 
     scale = max(1.0, float(np.abs(Fm).max()))
     tol = cfg.nonlin_tol * scale
-    u = u_start.copy()
     res = residual(u)
     rnorm = float(np.abs(res).max())
     lin_total = picard = 0
@@ -414,7 +410,7 @@ def _newton_level(
 
 
 def _lagrange_weights(xs: list[float], x: float) -> list[float]:
-    """The Lagrange basis polynomials of the 2-4 distinct nodes ``xs``, evaluated at x.
+    """The Lagrange basis polynomials of the 2 or 4 distinct nodes ``xs``, evaluated at x.
 
     Closed forms in Python floats, with d_i = x - x_i and h_ij = x_i - x_j:
     a level's weights cost less than one array operation.
@@ -423,11 +419,6 @@ def _lagrange_weights(xs: list[float], x: float) -> list[float]:
         x0, x1 = xs
         h01 = x0 - x1
         return [(x - x1) / h01, (x0 - x) / h01]
-    if len(xs) == 3:
-        x0, x1, x2 = xs
-        d0, d1, d2 = x - x0, x - x1, x - x2
-        h01, h02, h12 = x0 - x1, x0 - x2, x1 - x2
-        return [d1 * d2 / (h01 * h02), -d0 * d2 / (h01 * h12), d0 * d1 / (h02 * h12)]
     x0, x1, x2, x3 = xs
     d0, d1, d2, d3 = x - x0, x - x1, x - x2, x - x3
     h01, h02, h03, h12, h13, h23 = x0 - x1, x0 - x2, x0 - x3, x1 - x2, x1 - x3, x2 - x3
@@ -446,52 +437,26 @@ def _rows(fields: np.ndarray, levels: list[int]) -> np.ndarray:
     return fields[levels]
 
 
-class _Predictor:
-    """Newton starts extrapolated in s = t^alpha through solved levels only (module docstring).
-
-    ``nodes`` are the last <= 5 solved levels of ``fields``, level 0 first;
-    ``p`` is the degree of the next extrapolation, 1 until level 0 leaves
-    ``nodes``.  ``bounds`` is the reaction's invariant range, or None.
-    """
-
-    def __init__(self, fields: np.ndarray, s: list[float], bounds: tuple[float, float] | None):
-        self.fields = fields
-        self.s = s  # t_m^alpha, Python floats
-        self.bounds = bounds
-        self.nodes = [0]
-        self.p = 1
-
-    def start(self, m: int, unk: np.ndarray) -> np.ndarray:
-        """Level m's start at the unknowns: U^0 while it is the only node, else the
-        extrapolation through the p + 1 latest nodes, clipped to ``bounds``."""
-        nodes = self.nodes
-        if len(nodes) == 1:
-            return self.fields[0][unk]
-        q = nodes[-1 - self.p:]
-        s = self.s
-        # whole rows: a view, where a slice of the unknowns would copy them
-        u = np.dot(_lagrange_weights([s[j] for j in q], s[m]), _rows(self.fields, q))[unk]
-        if self.bounds is not None:  # the ufunc pair costs less than np.clip's wrappers
-            np.maximum(u, self.bounds[0], out=u)
-            np.minimum(u, self.bounds[1], out=u)
-        return u
-
-    def solved(self, m: int) -> None:
-        """Make level m, which took a Newton step, a node.  Once level 0 has
-        left the nodes, back-predict U^m from the four nodes before it with
-        each degree p = 1, 2, 3: one (3 x 5) @ (5 x n) product, the minus
-        one folded into the weights; the best in max-norm is the next ``p``."""
-        nodes = self.nodes
-        nodes.append(m)
-        if len(nodes) > 5:
-            del nodes[0]
-        if nodes[0] == 0:
-            return
-        xs = [self.s[j] for j in nodes]
-        E = [[0.0] * (3 - p) + _lagrange_weights(xs[3 - p:4], xs[4]) + [-1.0] for p in (1, 2, 3)]
-        err = np.array(E) @ _rows(self.fields, nodes)
-        np.abs(err, out=err)
-        self.p = 1 + int(np.argmin(err.max(axis=1)))
+def _start(
+    fields: np.ndarray,
+    s: list[float],
+    nodes: list[int],
+    m: int,
+    unk: np.ndarray,
+    bounds: tuple[float, float] | None,
+) -> np.ndarray:
+    """Level m's start at the unknowns from the <= 4 latest solved levels ``nodes``
+    (module docstring); ``s`` is t^alpha at the mesh nodes as Python floats, and
+    ``bounds`` the reaction's invariant range or None."""
+    if len(nodes) == 1:
+        return fields[0][unk]
+    q = nodes[-2:] if nodes[0] == 0 else nodes
+    # whole rows: a view, where a slice of the unknowns would copy them
+    u = np.dot(_lagrange_weights([s[j] for j in q], s[m]), _rows(fields, q))[unk]
+    if bounds is not None:  # the ufunc pair costs less than np.clip's wrappers
+        np.maximum(u, bounds[0], out=u)
+        np.minimum(u, bounds[1], out=u)
+    return u
 
 
 def solve_pde(
@@ -517,7 +482,8 @@ def solve_pde(
 
     fields = np.empty((mesh.M + 1, grid.n_nodes))
     fields[0] = problem.initial_field(grid)
-    predictor = _Predictor(fields, (mesh.nodes**alpha).tolist(), problem.f.range)
+    s = (mesh.nodes**alpha).tolist()
+    nodes = [0]  # the <= 4 latest solved levels
     data_varies = problem.bc.dirichlet_data_varies
 
     out = SolutionHistory(mesh=mesh, grid=grid, fields=fields)
@@ -535,12 +501,12 @@ def solve_pde(
         # F sums whole rows; keep the unknowns (a column-indexed slice would copy m rows)
         Fm = F[unk]
         u, iters, rnorm, lin_it, picard = _newton_level(
-            problem.f, t_m, kmm, Fm, g_dir, predictor.start(m, unk),
+            problem.f, t_m, kmm, Fm, g_dir, _start(fields, s, nodes, m, unk, problem.f.range),
             op.unknown_points, cfg, m, solver,
         )
         fields[m] = op.scatter(u, g)
         if iters:
-            predictor.solved(m)
+            nodes = nodes[-3:] + [m]
         out.newton_iters.append(iters)
         out.residuals.append(rnorm)
         out.lin_iters.append(lin_it)

@@ -241,10 +241,6 @@ class DiscreteOperator:
     dirichlet_points: np.ndarray  # (n_dirichlet, d) node coordinates
     _dirichlet_face: np.ndarray = field(repr=False)  # face index of each Dirichlet node
 
-    @property
-    def n_unknown(self) -> int:
-        return self.unknown_flat.size
-
     def dirichlet_values(self, t: float) -> np.ndarray:
         """The Dirichlet data at the Dirichlet nodes at time t."""
         vals = np.zeros(self.dirichlet_flat.size)

@@ -43,14 +43,14 @@ def dense_monolithic_oracle(problem, mesh, grid, cstar):
     numpy.linalg.solve.  Only valid for linear f and homogeneous Dirichlet.
     """
     op = assemble(grid, problem.coeffs, 0.0, problem.bc)
-    A = op.matrix.toarray() + cstar * np.eye(op.n_unknown)
+    A = op.matrix.toarray() + cstar * np.eye(op.unknown_flat.size)
     u0 = problem.initial_field(grid)[op.unknown_flat]
     M = mesh.M
     hist = [u0]
     for m in range(1, M + 1):
         w = l1_weights(mesh, problem.alpha, m)
         F = sum(w.kappa[j] * hist[j] for j in range(m))
-        lhs = w.diag * np.eye(op.n_unknown) + A
+        lhs = w.diag * np.eye(op.unknown_flat.size) + A
         hist.append(np.linalg.solve(lhs, F))
     return np.array(hist), op
 
@@ -967,17 +967,9 @@ def _reference_start(s, U, m, solved):
     nodes = [j for j in range(m) if solved[j]]
     if len(nodes) == 1:
         return U[0]
-
-    def extrapolate(p, before, at):  # degree p through the p + 1 latest of the levels ``before``, at s[at]
-        idx = before[-1 - p:]
-        return _lagrange([s[j] for j in idx], [U[j] for j in idx], s[at])
-
-    p = 1
-    if len(nodes) >= 6:  # level 0 has left the five latest nodes: the latest chose the degree
-        last = nodes[-1]
-        errs = [np.max(np.abs(extrapolate(q, nodes[-5:-1], last) - U[last])) for q in (1, 2, 3)]
-        p = 1 + int(np.argmin(errs))
-    return extrapolate(p, nodes, m)
+    p = 1 if 0 in nodes[-4:] else 3  # a line while level 0 is one of the four latest nodes
+    idx = nodes[-1 - p:]
+    return _lagrange([s[j] for j in idx], [U[j] for j in idx], s[m])
 
 
 def _solve_recording_starts(monkeypatch, problem, mesh, grid, cfg=None):
@@ -1027,12 +1019,12 @@ class TestPredictedStart:
 
     def test_newton_step_count_guard(self):
         # 260 Newton steps (686 CG iterations) from the linear extrapolation
-        # in t, 141 (458) from the chosen degree in t^alpha
+        # in t, 141 (458) from the extrapolation in t^alpha
         sol = solve_pde(allen_cahn_problem(0.5), build_graded(128, 1.0, 3.0), Grid(2, 64, math.pi))
         assert sum(sol.newton_iters) <= 160
 
     def test_newton_step_count_guard_with_zero_step_levels(self):
-        # 815 Newton steps when 0-step levels were nodes too, 581 from solved levels only
+        # 815 Newton steps when 0-step levels were nodes too, 580 from solved levels only
         sol = solve_pde(*_zero_step_fisher())
         assert sol.newton_iters.count(0) > 300
         assert sum(sol.newton_iters) <= 650
@@ -1066,7 +1058,7 @@ class TestPredictedStart:
 
 
 class TestExtrapolationWeights:
-    """``_lagrange_weights`` and ``_Predictor`` on given histories, with gaps between the solved levels."""
+    """``_lagrange_weights`` and ``_start`` on given histories, with gaps between the solved levels."""
 
     MESH, ALPHA = build_graded(40, 1.0, 3.0), 0.5
 
@@ -1079,20 +1071,19 @@ class TestExtrapolationWeights:
 
     @staticmethod
     def _starts(s, U, solved):
-        """Level m's start for m = 1..M, with the levels ``solved`` made nodes."""
-        pred = fraxolve.pde._Predictor(U, s.tolist(), None)
-        unk = np.arange(U.shape[1])
-        out = []
+        """Level m's start for m = 1..M, with the levels ``solved`` made nodes as ``solve_pde`` makes them."""
+        s, unk = s.tolist(), np.arange(U.shape[1])
+        nodes, out = [0], []
         for m in range(1, U.shape[0]):
-            out.append(pred.start(m, unk))
+            out.append(fraxolve.pde._start(U, s, nodes, m, unk, None))
             if solved[m]:
-                pred.solved(m)
+                nodes = nodes[-3:] + [m]
         return out
 
     def test_weights_reproduce_polynomials_in_s(self):
         s = self.MESH.nodes**self.ALPHA
         rng = np.random.default_rng(2)
-        for n in (2, 3, 4):
+        for n in (2, 4):
             for _ in range(50):  # n nodes and the level extrapolated to, 1-4 levels apart
                 levels = rng.integers(0, 8) + np.cumsum(rng.integers(1, 5, n + 1))
                 xs, x = s[levels[:-1]].tolist(), float(s[levels[-1]])
@@ -1103,26 +1094,26 @@ class TestExtrapolationWeights:
                     assert np.dot(w, y) == pytest.approx((x - 0.3) ** q, abs=1e-12), (levels, q)
 
     def test_history_linear_in_t_alpha_and_t_2alpha_is_extrapolated_exactly(self):
-        # a + b t^alpha + c t^{2 alpha}, per node: degree 2 in s, so once five
-        # levels after level 0 are solved a degree >= 2 back-predicts the
-        # latest to rounding and is chosen
-        t = self.MESH.nodes
+        # a + b t^alpha + c t^{2 alpha} + d t^{3 alpha}, per node: a cubic in
+        # s, so once five levels before m are solved (level 0 has left the
+        # four nodes) the cubic through them extrapolates it to rounding
+        s = self.MESH.nodes**self.ALPHA
         rng = np.random.default_rng(0)
-        a, b, c = rng.uniform(-1.0, 1.0, (3, 7))
-        U = a + np.outer(t**self.ALPHA, b) + np.outer(t**(2 * self.ALPHA), c)
-        lin = a + np.outer(t**self.ALPHA, b)
+        a, b, c, d = rng.uniform(-1.0, 1.0, (4, 7))
+        U = a + np.outer(s, b) + np.outer(s**2, c) + np.outer(s**3, d)
+        lin = a + np.outer(s, b)
         solved = self._solved(self.MESH.M, 3)
         solved[1] = True
-        starts = self._starts(t**self.ALPHA, U, solved)
-        lin_starts = self._starts(t**self.ALPHA, lin, solved)
+        starts = self._starts(s, U, solved)
+        lin_starts = self._starts(s, lin, solved)
         for m in range(2, self.MESH.M + 1):
             err = np.max(np.abs(starts[m - 1] - U[m]))
-            if np.count_nonzero(solved[:m]) >= 6:
+            if np.count_nonzero(solved[:m]) >= 5:
                 assert err <= 1e-12, f"level {m}: {err:.3e}"
-            else:  # linear in s: exact only without the t^{2 alpha} term
+            else:  # linear in s: exact only without the t^{2 alpha} and t^{3 alpha} terms
                 assert err > 1e-6
                 np.testing.assert_allclose(lin_starts[m - 1], lin[m], rtol=0, atol=1e-13)
-        assert np.count_nonzero(solved[:-1]) >= 6 and not solved.all()
+        assert np.count_nonzero(solved[:-1]) >= 5 and not solved.all()
 
     def test_start_matches_the_reference_on_a_random_history(self):
         s = self.MESH.nodes**self.ALPHA

@@ -243,9 +243,9 @@ class TestAssemble2D:
             2,
         )
         op = assemble(grid, CoefficientField(a=(1.0, 1.0)), 0.0, bs)
-        assert op.n_unknown == 8 * 7
+        assert op.unknown_flat.size == 8 * 7
         # constants are not in the kernel (Dirichlet faces pin them)
-        v = op.matrix @ np.ones(op.n_unknown)
+        v = op.matrix @ np.ones(op.unknown_flat.size)
         assert np.max(v) > 0
 
     def test_periodic_by_robin_robin_n2(self):
@@ -277,7 +277,7 @@ class TestAssemble2D:
         cf = CoefficientField(a=(1.0, 1.0), c=1.0)
         op = assemble(grid, cf, 0.0, BoundarySpec.dirichlet0(2))
         rng = np.random.default_rng(0)
-        u = rng.standard_normal(op.n_unknown)
+        u = rng.standard_normal(op.unknown_flat.size)
         full = op.scatter(u, op.dirichlet_values(0.0))
         act = op.apply(full)
         np.testing.assert_allclose(
