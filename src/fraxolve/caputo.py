@@ -11,7 +11,10 @@ identity kappa_{m,m} = sum_{j<m} kappa_{m,j} holds (constants are annihilated).
 
 ``march`` is the one level loop: every solver and check takes kappa_{m,m} and
 the history sum F^m = sum_{j<m} kappa_{m,j} U^j from it.  It runs the levels in
-blocks, and the weight kernel fills all of a block's levels at once in two
+blocks of B levels, each of which reads the history settled before it once;
+B is isqrt(M) on most 1D grids, which minimizes the history a march reads,
+and is otherwise set by the memory a block's work arrays may take (see
+``_block_rows``).  The weight kernel fills all of a block's levels at once in two
 steps: ``_l1_increments`` computes the unscaled increments, ``_l1_kappa``
 scales and differences them into kappa.  ``l1_weights`` runs both steps on a
 one-row panel, so there is one formula for the weights.  ``march`` differences
@@ -25,6 +28,7 @@ U^{0..m-1} up to rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 
@@ -140,16 +144,31 @@ def l1_weights(mesh: TemporalMesh, alpha: float, m: int) -> CaputoWeights:
 def _block_rows(M: int, n: int) -> int:
     """Levels per block for an M-level march over histories of n values a level.
 
-    A block's work arrays, two (B, M) weight panels and the (B, n) settled-history
-    sums, take at most an eighth of the (M + 1, n) history, but a block has at
-    least eight levels, so scalar histories still share the per-block set-up.
+    Each block reads the history settled before it once, and each of its
+    levels adds its own newer terms, so a march reads about M^2 / (2B) settled
+    rows plus M B / 2 newer ones, least at B = sqrt(M).  A block's work arrays
+    are two (B, M) weight panels and the (B, n) settled-history sums.  B is the
+    larger of two counts, and at least eight levels (at most M), so scalar
+    histories still share the per-block set-up:
+
+    * the most levels whose work arrays take an eighth of the (M + 1, n) history;
+    * isqrt(M), cut to the most whose work arrays take half of it.
+
+    The second wins where a level holds few values against the level count (1D
+    grids; M = 2000, n = 257 gives 44 where the first gives 15) and is 0 for a
+    scalar history.  On wide 2D grids the first is the larger, and a block of
+    only isqrt(M) levels ran slower there (bare march, M = 128, n = 257^2, one
+    BLAS thread, 2 x86 vCPUs: B = 11 took 90 ms, B = 16 81 ms).
 
     B also picks the operand ``march`` differences.  A march's panels hold about
     M^2 / 2 increments, each scaled, differenced and floored into kappa; the
     history holds (M + 1) n values.  With n < B the history is the smaller: it
     is differenced once into an (M + 1, n) buffer, below the size of one panel.
+    Either count above 8 is at most (M + 1) n / (4 M) <= n / 2, so only a
+    block at the floor, min(M, 8) levels, can be wider than the history.
     """
-    return min(M, max(8, (M + 1) * n // (8 * (2 * M + n))))
+    half = (M + 1) * n // (2 * (2 * M + n))  # levels whose work arrays take half the history
+    return min(M, max(8, half // 4, min(isqrt(M), half)))
 
 
 # OpenBLAS (0.3.31, 2 x86 vCPUs, threads unpinned) runs a matrix product of at
@@ -158,10 +177,12 @@ def _block_rows(M: int, n: int) -> int:
 # single-threaded work for no wall-time gain (1D periodic Fisher solve, M =
 # 2000, N = 256: unsplit, CPU time twice the wall time, which is no shorter
 # than with the products split).  Measured per product, with the pool idle
-# first: (15 x 259) @ (259 x 257), 9.98e5 multiply-adds, ran at cpu/wall 1.00
-# both as a level slab of march's panel (a strided view) and contiguous;
-# (15 x 260) @ (260 x 257), 1.002e6, at 1.90 in either layout; a column slab
-# (15 x 1900) @ (1900 x 35) at 1.00.  The layout does not move the threshold.
+# first, at that solve's block of 44 levels: the level slab (44 x 88) @ (88 x
+# 257), 9.95e5 multiply-adds, ran at cpu/wall 1.00 both as a strided view of
+# march's panel and contiguous; (44 x 89) @ (89 x 257), 1.006e6, at 1.86-1.95,
+# and as a strided view it took 3 ms a product, not 0.05, in two of three runs.
+# At 15 levels the threshold sat at the same place: (15 x 259) @ (259 x 257)
+# at 1.00, (15 x 260) @ (260 x 257) at 1.9.  The layout does not move it.
 _SLAB_MADDS = 10**6
 
 
@@ -199,7 +220,8 @@ def march(mesh: TemporalMesh, alpha: float, U: np.ndarray):
     """Yield (m, kappa_{m,m}, F^m = kappa_{m,0..m-1} @ U[:m]) for m = 1..M; the
     caller owns the (M+1,) or (M+1, n) history U and writes U[m] before the next level.
 
-    Levels m0..m0+B-1 run as one block (B from ``_block_rows``).  Their
+    Levels m0..m0+B-1 run as one block (B from ``_block_rows``: 44 levels for
+    M = 2000 on a 257-node 1D grid, 8 for a scalar history).  Their
     increments only depend on the mesh, so the kernel ``l1_weights`` uses fills
     them as one (B, m0+B-1) panel; kappa_{m,m} is the same division of the same
     increment in both, so it is equal bit for bit.  The history settled before
@@ -207,7 +229,8 @@ def march(mesh: TemporalMesh, alpha: float, U: np.ndarray):
     once per block instead of once per level.  It runs in slabs only to keep
     BLAS on the calling thread: slabs of whole levels once there are more settled
     levels than values a level, else slabs of history columns (``_settled_sums``).
-    Each level then adds its own at most B - 1 newer terms.
+    Each level then adds its own at most B - 1 newer terms, so a longer block
+    reads the settled history fewer times but adds more newer terms a level.
 
     One of the two operands is differenced, whichever is cheaper:
 

@@ -292,6 +292,10 @@ class _ShiftedTridiag:
             corners = (float(A[n - 1, 0]), float(A[0, n - 1]))
         return cls(A.diagonal(-1), A.diagonal(), A.diagonal(1), corners)
 
+    def __post_init__(self):
+        # Sherman-Morrison's u, whose zero interior every periodic solve keeps
+        self._u = None if self.corners is None else np.zeros(self.diag.size)
+
     def matvec(self, u: np.ndarray) -> np.ndarray:
         """A u; each row but a periodic last one sums as A's CSR product does, bitwise equal to it."""
         y = self.diag * u
@@ -326,9 +330,9 @@ class _ShiftedTridiag:
             gamma = -d[0] or -abs(c_lo) - abs(c_hi)
             d[0] -= gamma
             d[-1] -= c_lo * c_hi / gamma
-            b = np.zeros((2, d.size)).T  # Fortran order, as dgtsv takes it
-            b[:, 0] = rhs
-            b[0, 1], b[-1, 1] = gamma, c_lo
+            u = self._u
+            u[0], u[-1] = gamma, c_lo
+            b = np.array((rhs, u)).T  # Fortran order, as dgtsv takes it
         _, _, _, x, info = dgtsv(self.lower, d, self.upper, b, overwrite_d=1, overwrite_b=b is not rhs)
         if info != 0:
             raise NonconvergenceError(m, np.inf, f"singular linear system at level {m} (dgtsv info {info})")
@@ -504,7 +508,7 @@ def solve_pde(
             problem.f, t_m, kmm, Fm, g_dir, _start(fields, s, nodes, m, unk, problem.f.range),
             op.unknown_points, cfg, m, solver,
         )
-        fields[m] = op.scatter(u, g)
+        op.scatter(u, g, out=fields[m])
         if iters:
             nodes = nodes[-3:] + [m]
         out.newton_iters.append(iters)

@@ -259,9 +259,14 @@ class DiscreteOperator:
         the Dirichlet node values ``values`` (``dirichlet_values``)."""
         return self.dirichlet_coupling @ values
 
-    def scatter(self, u: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Unknown-node values -> full nodal field, Dirichlet ``values`` as in ``data_vector``."""
-        out = np.zeros(self.grid.n_nodes)
+    def scatter(self, u: np.ndarray, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Unknown-node values -> full nodal field, Dirichlet ``values`` as in ``data_vector``.
+
+        Every node is an unknown, a Dirichlet node or a periodic duplicate, so
+        all of ``out`` (a new field if None) is written.
+        """
+        if out is None:
+            out = np.empty(self.grid.n_nodes)
         out[self.unknown_flat] = u
         if self.dirichlet_flat.size:
             out[self.dirichlet_flat] = values

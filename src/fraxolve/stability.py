@@ -127,14 +127,19 @@ def long_time_check(
 ) -> LongTimeReport:
     """Long-horizon bound |V^j| <= C tau^alpha E_alpha(lambda' t_j^alpha).
 
-    Uses a uniform mesh with data g^j = (tau/t_j)^alpha; "stable" means the
-    normalized sup over [0, T] exceeds the sup over [0, T/2] by at most 5%.
+    Uses a uniform mesh of round(T / tau) steps tau, so the horizon, reported
+    as ``T``, is round(T / tau) * tau (T = 1, tau = 0.4 reports T = 0.8), with
+    data g^j = (tau/t_j)^alpha; "stable" means the normalized sup over [0, T]
+    exceeds the sup over [0, T/2] by at most 5%.  Raises ValueError unless
+    the mesh has at least 2 levels, so that [0, T/2] holds one.
     The denominators E_alpha(lambda' t_j^alpha) come from one array call to
     ``mittag_leffler``, which sums the series entries as one batch.
     """
     if lam > 0 and not lam_prime > lam:
         raise ValueError("need lambda' > lambda")
     M = int(round(T / tau))
+    if M < 2:
+        raise ValueError(f"tau = {tau:g} and T = {T:g} give round(T / tau) = {M} levels; need at least 2")
     mesh = build_graded(M, M * tau, 1.0)
     t = mesh.nodes[1:]
     g = (tau / t) ** alpha

@@ -392,11 +392,21 @@ class TestPanel:
             pass
         assert len(calls) == (-(-M // PANEL_B) if wide else 0)
 
-    @pytest.mark.parametrize("M, n", [(1, 1), (3, 1), (2000, 256), (8000, 1), (300, 512), (64, 127**2)])
+    @pytest.mark.parametrize("M, n", [
+        (1, 1), (3, 1), (2000, 256), (2000, 257), (8000, 1), (300, 512), (64, 127**2), (128, 257**2),
+    ])
     def test_block_rows_within_an_eighth_of_the_history(self, M, n):
+        # the count whose work arrays take an eighth of the history is B's
+        # floor; B passes it only at isqrt(M) levels or fewer, whose work
+        # arrays take at most half the history
         B = caputo._block_rows(M, n)
         assert min(M, 8) <= B <= M
-        assert B <= 8 or 8 * B * (2 * M + n) <= (M + 1) * n
+        assert B >= min(M, (M + 1) * n // (8 * (2 * M + n)))
+        if B > max(8, (M + 1) * n // (8 * (2 * M + n))):
+            assert B <= math.isqrt(M)
+            assert 2 * B * (2 * M + n) <= (M + 1) * n
+        if M == 2000 and n > 1:  # march1d: isqrt(2000) levels, where an eighth gives 15
+            assert B == 44
 
 
 def column_slab_sums(K, H, G):
@@ -455,7 +465,8 @@ class TestSettledSums:
 
     @pytest.mark.parametrize("B, k, n, madds", [
         (5, 7, 23, SPLIT_MADDS),  # k <= n: column slabs, as before
-        (15, 250, 257, 10**6),  # an early march1d block: k <= n
+        (15, 250, 257, 10**6),  # k <= n, several column slabs
+        (44, 250, 257, 10**6),  # an early march1d block: k <= n
         (15, 1900, 1, 10**6),  # a scalar history: one product
         (8, 7993, None, 10**6),  # the last block of an M = 8000 scalar march, 1D
     ])
@@ -468,9 +479,9 @@ class TestSettledSums:
         assert np.array_equal(G, want)
 
     def test_level_slabs_read_each_level_once(self, monkeypatch):
-        # march1d's late-block shape: one product of 259 levels a slab, against
-        # the 8 column slabs that would each read all of K
-        B, k, n = 15, 1900, 257
+        # march1d's late-block shape: one product of 88 levels a slab, against
+        # the 23 column slabs that would each read all of K
+        B, k, n = 44, 1900, 257
         calls, matmul = [], np.matmul
 
         def spy(a, b, *args, **kwargs):
@@ -482,6 +493,25 @@ class TestSettledSums:
         caputo._settled_sums(K, H, G)
         rows = 10**6 // (B * n)
         assert calls == [((B, min(rows, k - r)), (min(rows, k - r), n)) for r in range(0, k, rows)]
+
+    def test_march1d_products_stay_within_the_slab_budget(self, monkeypatch):
+        # every settled-sum product of a march1d-shaped march stays at or below
+        # _SLAB_MADDS multiply-adds, so unpinned BLAS keeps it on the calling thread
+        M, n = 2000, 257
+        B = caputo._block_rows(M, n)
+        madds, matmul = [], np.matmul
+
+        def spy(a, b, *args, **kwargs):
+            madds.append(a.shape[0] * a.shape[1] * b.shape[1])
+            return matmul(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        for m, kmm, F in march(build_graded(M, 1.0, 2.0), 0.4, np.zeros((M + 1, n))):
+            pass
+        assert m == M and B == 44
+        assert max(madds) <= caputo._SLAB_MADDS
+        # every block's product over the history settled before it, whole
+        assert sum(madds) == sum(min(B, M + 1 - m0) * m0 * n for m0 in range(1, M + 1, B))
 
 
 def kappa_panel_march(mesh, alpha, U):
@@ -530,8 +560,8 @@ class TestWideHistory:
 
     @pytest.mark.parametrize("alpha, r", [(0.4, 2.0), (0.5, 1.0), (0.8, 3.0)])
     def test_march1d_shape_bitwise_equal_to_kappa_panel_march(self, alpha, r):
-        # 257 values a level, as the 1D periodic benchmark march; 13 levels a
-        # block and, at the default slab budget, two level slabs in late blocks
+        # 257 values a level, as the 1D periodic benchmark march; 22 levels a
+        # block and, at the default slab budget, up to three level slabs in late blocks
         M, n = 500, 257
         assert n >= caputo._block_rows(M, n)
         mesh = build_graded(M, 1.0, r)

@@ -15,6 +15,7 @@ import math
 import numpy as np
 import pytest
 
+import fraxolve.caputo
 import fraxolve.pde
 import fraxolve.scalar
 import fraxolve.stability
@@ -48,10 +49,10 @@ def assert_close(got, want):
     assert np.max(np.abs(got - want)) <= REL_TOL * np.max(np.abs(want))
 
 
-def _fisher_1d():
-    # the shape of perfbench's march1d input at M = 300
+def _fisher_1d(M=300):
+    # the shape of perfbench's march1d input, which runs at M = 2000
     rc = parse_config(json.dumps({
-        "mesh": {"M": 300, "T": 1.0, "r": 2.0},
+        "mesh": {"M": M, "T": 1.0, "r": 2.0},
         "grid": {"d": 1, "N": 256},
         "problem": {
             "alpha": 0.4,
@@ -123,3 +124,31 @@ def test_solve_resolvent_matches_row_by_row_march(monkeypatch):
     args = (mesh, 0.5, 1.0, g)
     V = solve_resolvent(*args)
     assert_close(V, reference_run(monkeypatch, fraxolve.stability, solve_resolvent, *args))
+
+
+def eighth_of_history_rows(M, n):
+    """The block length march used before isqrt(M) levels were allowed: the most
+    levels whose work arrays take an eighth of the history, at least 8, at most M."""
+    return min(M, max(8, (M + 1) * n // (8 * (2 * M + n))))
+
+
+def test_march1d_agrees_with_eighth_of_history_blocks(monkeypatch):
+    # the block length only changes the summation order of F^m; which levels
+    # meet the Newton tolerance at their start, and so take 0 steps, may move
+    problem, mesh, grid, cfg = _fisher_1d(2000)
+    n = grid.n_nodes
+    assert (fraxolve.caputo._block_rows(mesh.M, n), eighth_of_history_rows(mesh.M, n)) == (44, 15)
+    sol = solve_pde(problem, mesh, grid, cfg)
+    with monkeypatch.context() as mp:
+        mp.setattr(fraxolve.caputo, "_block_rows", eighth_of_history_rows)
+        ref = solve_pde(problem, mesh, grid, cfg)
+    assert np.max(np.abs(sol.fields - ref.fields)) <= 1e-9
+    new, old = sum(sol.newton_iters), sum(ref.newton_iters)
+    assert abs(new - old) <= 0.03 * old
+
+
+@pytest.mark.parametrize("M, N", [(16, 32), (32, 32), (32, 64), (64, 64)])
+def test_table_slice_blocks_keep_their_length(M, N):
+    # the benchmark's table_slice solves: (M, N = 2M) and its fine run (2M, N), M = 16 and 32
+    n = (N + 1) ** 2
+    assert fraxolve.caputo._block_rows(M, n) == eighth_of_history_rows(M, n) == 8

@@ -303,3 +303,15 @@ class TestLongTime:
     def test_lambda_prime_validation(self):
         with pytest.raises(ValueError):
             long_time_check(0.5, 1.0, 1.0, tau=0.1)
+
+    @pytest.mark.parametrize("tau, T, M", [(1.0, 1.0, 1), (2.5, 1.0, 0), (0.7, 1.0, 1)])
+    def test_fewer_than_two_levels_raise_a_named_error(self, tau, T, M):
+        msg = rf"tau = {tau:g} and T = {T:g} give round\(T / tau\) = {M} levels; need at least 2"
+        with pytest.raises(ValueError, match=msg):
+            long_time_check(0.5, 0.0, 0.5, tau=tau, T=T)
+
+    def test_horizon_is_a_whole_number_of_steps(self):
+        # round(1 / 0.4) = 2 steps: the report's T is 0.8, not 1
+        rep = long_time_check(0.5, 0.0, 0.5, tau=0.4, T=1.0)
+        assert rep.T == pytest.approx(0.8, abs=1e-15)
+        assert rep.ratios.size == 2
