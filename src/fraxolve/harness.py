@@ -135,9 +135,17 @@ def allen_cahn_problem(alpha: float) -> Problem:
 
 _MAX_COST = 5e13  # table_run budget on the sum of M^2 * n_unknown over runs
 
+
+def _square_root_rule(M: int) -> int:
+    N = math.isqrt(M)
+    if N * N != M:
+        raise ValueError(f"the M=N^2 rule needs a square M, got M = {M}")
+    return N
+
+
 _N_RULES = {
     "N=2M": lambda M: 2 * M,
-    "M=N^2": lambda M: int(round(math.isqrt(M))),
+    "M=N^2": _square_root_rule,
     "N=M/2": lambda M: M // 2,
 }
 

@@ -499,12 +499,18 @@ _ROW_SUM_SLACK = 16 * np.finfo(float).eps  # rounding of <= 5 entries <= diag; v
 def check_max_principle(op: DiscreteOperator, level: int) -> None:
     """Raise MaxPrincipleError unless L_h is a weakly diagonally dominant M-matrix.
 
-    Exact, O(nnz), on L = [matrix | dirichlet_coupling]: diagonal > 0, off-diagonals
-    <= 0, row sums >= -_ROW_SUM_SLACK * diagonal (Varga, Matrix Iterative Analysis).
+    Exact, O(nnz), on L = [matrix | dirichlet_coupling]: every entry finite, diagonal > 0,
+    off-diagonals <= 0, row sums >= -_ROW_SUM_SLACK * diagonal (Varga, Matrix Iterative
+    Analysis).
     """
     _load_scipy()
     L = sp.hstack([op.matrix, op.dirichlet_coupling]).tocoo()
     node = op.grid.multi_indices()[np.concatenate([op.unknown_flat, op.dirichlet_flat])]
+    finite = np.isfinite(L.data)
+    if not finite.all():  # the sign tests and the row sums below need finite entries
+        j = int(np.argmin(finite))
+        msg = f"non-finite entry {L.data[j]} at node {tuple(node[L.col[j]].tolist())}"
+        raise MaxPrincipleError(level, tuple(node[L.row[j]].tolist()), msg)
     diag = op.matrix.diagonal()
     off = np.where(L.row != L.col, L.data, -np.inf)
     k, j = int(np.argmin(diag)), int(np.argmax(off))

@@ -8,17 +8,7 @@ from fraxolve import caputo
 from fraxolve.caputo import apply_delta, history_load, l1_weights, march
 from fraxolve.mesh import TemporalMesh, build_graded
 from fraxolve.special import gamma
-
-
-EPS = np.finfo(float).eps
-
-
-def dot_bound(kappa, U):
-    """2 gamma_m (|kappa| @ |U|), gamma_m = m eps / (1 - m eps): two evaluations of
-    the m-term sum kappa @ U in any order differ by at most this."""
-    m = len(kappa)
-    gam = m * EPS / (1 - m * EPS)
-    return 2 * gam * np.tensordot(np.abs(kappa), np.abs(U), axes=1)
+from reference import EPS, dot_bound, mpmath_weights
 
 
 def caputo_quadrature_oracle(fn, dfn, alpha, t):
@@ -215,25 +205,23 @@ class TestMarch:
 
     def test_weights_against_mpmath(self):
         # independent of the shared kernel: the L1 formula at 40 digits on the
-        # same nodes.  d_1 = kappa_{m,0} and d_m = kappa_{m,m} come out to full
+        # same nodes.  Exactly, every weight is positive and kappa_{m,m} is the
+        # sum of the others.  d_1 = kappa_{m,0} and d_m = kappa_{m,m} come out to full
         # relative precision; kappa_{m,j} = d_{j+1} - d_j inherits the rounding
         # of d_{j+1} (kappa_{38,1} ~ 2e-5 d_2 here), so it is held to that.
         mpmath = pytest.importorskip("mpmath")
         mesh, alpha = build_graded(40, 1.0, 3.0), 0.3
         eps = np.finfo(float).eps
         with mpmath.workdps(40):
-            t = [mpmath.mpf(float(x)) for x in mesh.nodes]
-            beta = 1 - mpmath.mpf(alpha)
-            g = mpmath.gamma(2 - mpmath.mpf(alpha))
             for m in range(1, mesh.M + 1):
-                d = [((t[m] - t[j - 1]) ** beta - (t[m] - t[j]) ** beta) / ((t[j] - t[j - 1]) * g)
-                     for j in range(1, m + 1)]
-                want = [d[0]] + [d[j] - d[j - 1] for j in range(1, m)] + [d[m - 1]]
+                want, d = mpmath_weights(mesh, alpha, m)
+                assert min(want) > 0 and abs(mpmath.fsum(want[:m]) - want[m]) <= 1e-35 * want[m]
                 got = l1_weights(mesh, alpha, m).kappa
                 for j in (0, m):
                     assert abs(got[j] - want[j]) <= 1e-12 * want[j]
                 for j in range(1, m):
                     assert abs(got[j] - want[j]) <= 1e-12 * want[j] + 4 * eps * d[j]
+                assert got[:m].sum() == pytest.approx(got[m], rel=1e-12)
 
     @pytest.mark.parametrize("shape", [(), (9,)])
     def test_matches_weights_row_by_row(self, shape):
@@ -277,13 +265,9 @@ class TestDifferencedHistory:
         U = rng.uniform(-1.0, 1.0, M + 1) * np.exp(rng.uniform(-3.0, 3.0, M + 1))
         assert caputo._block_rows(M, 1) > 1  # the differenced path
         with mpmath.workdps(40):
-            t = [mpmath.mpf(float(x)) for x in mesh.nodes]
             u = [mpmath.mpf(float(x)) for x in U]
-            beta = 1 - mpmath.mpf(alpha)
-            g = mpmath.gamma(2 - mpmath.mpf(alpha))
             for m, kmm, F in march(mesh, alpha, U):
-                d = [((t[m] - t[j - 1]) ** beta - (t[m] - t[j]) ** beta) / ((t[j] - t[j - 1]) * g)
-                     for j in range(1, m + 1)]
+                d = mpmath_weights(mesh, alpha, m)[1]
                 exact = d[m - 1] * u[m - 1] - mpmath.fsum(d[j - 1] * (u[j] - u[j - 1]) for j in range(1, m))
                 bound = 2 * EPS * float(mpmath.fsum(d[j] * abs(u[j]) for j in range(m)))
                 kappa_form = l1_weights(mesh, alpha, m).kappa[:m] @ U[:m]

@@ -1,6 +1,5 @@
 import csv
 import json
-import math
 import os
 import subprocess
 import sys

@@ -189,6 +189,14 @@ class TestTableRun:
         with pytest.raises(ValueError):
             bad.n_for(64)
 
+    def test_square_rule_rejects_a_non_square_M(self):
+        # M = 50 would run (50, 7) against its fine run (200, 14): neither has M = N^2
+        spec = TableSpec(alphas=(0.5,), rs=(1.0,), Ms=(50,), n_rule="M=N^2", study="space")
+        with pytest.raises(ValueError, match="M = 50"):
+            spec.n_for(50)
+        with pytest.raises(ValueError, match="M = 50"):
+            table_run(spec)
+
 
 class TestTheoryRates:
     def test_temporal_rates_follow_the_envelope(self):
@@ -204,22 +212,25 @@ class TestTheoryRates:
             assert abs(last["rate"] - predicted) <= 0.1, (r, last["rate"])
 
 
-    @pytest.mark.parametrize("alpha", [0.3, 0.7])
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
     def test_final_time_rates_of_the_scalar_problem(self, alpha):
-        # final-time rate min(r, 2 - alpha) for D_t^alpha u + u = 0, whose
-        # solution is E_alpha(-t^alpha), on a uniform and on the graded mesh
-        # r = (2 - alpha)/alpha that table2 uses
+        # D_t^alpha u + u = 0, u = E_alpha(-t^alpha): on a uniform mesh and on the
+        # graded r = (2 - alpha)/alpha that table2 uses, the final-time rate is
+        # error_envelope's exponent min(r, 2 - alpha) and max_m err/envelope
+        # settles; at r = 2 - alpha the log-variant envelope settles
         f = builtin("linear", cstar=1.0)
-        Ms = (128, 256, 512)
-        for r in (1.0, (2.0 - alpha) / alpha):
-            errs = [
-                exact_error(solve_scalar(f, 1.0, build_graded(M, 1.0, r), alpha),
-                            lambda t: mittag_leffler(alpha, -t**alpha)).err_final
-                for M in Ms
-            ]
-            rates = [rate(e0, e1) for e0, e1 in zip(errs, errs[1:])]
-            predicted = min(r, 2.0 - alpha)
-            assert all(abs(q - predicted) <= 0.05 for q in rates), (r, rates)
+        for r, log_variant in ((1.0, False), ((2.0 - alpha) / alpha, False), (2.0 - alpha, True)):
+            final, ratios = [], []
+            for M in (128, 256, 512):
+                mesh = build_graded(M, 1.0, r)
+                err = np.abs(solve_scalar(f, 1.0, mesh, alpha).values
+                             - mittag_leffler(alpha, -mesh.nodes**alpha))[1:]
+                final.append(err[-1])
+                ratios.append(float(np.max(err / error_envelope(mesh, alpha, r, log_variant=log_variant))))
+            if not log_variant:
+                rates = [rate(e0, e1) for e0, e1 in zip(final, final[1:])]
+                assert all(abs(q - min(r, 2.0 - alpha)) <= 0.05 for q in rates), (r, rates)
+            assert all(r1 < 1.1 * r0 for r0, r1 in zip(ratios, ratios[1:])), (r, ratios)
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
     def test_final_time_rates_of_a_pde_problem(self, alpha):
