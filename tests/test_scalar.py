@@ -247,6 +247,38 @@ class TestLevelSolve:
         assert exc.value.level == 1
 
 
+class TestTheoryRates:
+    """D^alpha u + u = 0, u(0) = 1: u = E_alpha(-t^alpha) against error_envelope."""
+
+    ALPHA = 0.5
+    MS = (128, 256, 512)
+
+    def _errors(self, r, log_variant=False):
+        f = builtin("linear", cstar=1.0)
+        final, ratios = [], []
+        for M in self.MS:
+            mesh = build_graded(M, 1.0, r)
+            traj = solve_scalar(f, 1.0, mesh, self.ALPHA)
+            exact = mittag_leffler(self.ALPHA, -mesh.nodes**self.ALPHA)
+            err = np.abs(traj.values - exact)[1:]
+            final.append(err[-1])
+            env = error_envelope(mesh, self.ALPHA, r, log_variant=log_variant)
+            ratios.append(float(np.max(err / env)))
+        return np.array(final), np.array(ratios)
+
+    @pytest.mark.parametrize("r", [1.0, 3.0])
+    def test_rate_and_envelope_below_and_above_critical(self, r):
+        final, ratios = self._errors(r)
+        # error_envelope's exponent: min(r, 2 - alpha)
+        for rate in np.log2(final[:-1] / final[1:]):
+            assert rate == pytest.approx(min(r, 2.0 - self.ALPHA), abs=0.05)
+        assert np.all(ratios[1:] < 1.1 * ratios[:-1])
+
+    def test_envelope_at_critical_grading(self):
+        _, ratios = self._errors(2.0 - self.ALPHA, log_variant=True)
+        assert np.all(ratios[1:] < 1.1 * ratios[:-1])
+
+
 class TestRangeCheck:
     def test_slack(self):
         mesh = build_graded(2, 1.0, 1.0)
