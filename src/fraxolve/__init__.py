@@ -3,11 +3,11 @@
 The time discretization is the L1 scheme on (quasi-)graded meshes; space is
 handled by monotone finite differences on tensor-product grids.
 
-Importing the package loads numpy only.  scipy loads with the first spatial
-operator (``spatial.assemble``, ``spatial.fast_inverse``, the solvers of
-``pde``) and in the negative-axis quadrature of ``special.mittag_leffler``,
-so a run on the time axis alone (``solve_scalar``, ``solve_resolvent``,
-``long_time_check``, ``mittag_leffler``) never imports it.
+Importing the package loads numpy only.  Each scipy module loads where a
+solve's path first calls it (the path -> modules list is in
+``spatial._lazy_imports``), so a run on the time axis alone
+(``solve_scalar``, ``solve_resolvent``, ``long_time_check``,
+``mittag_leffler`` outside its negative-axis quadrature) never imports it.
 """
 
 __version__ = "0.1.0"

@@ -85,12 +85,19 @@ def _expression(text, path, **at):
 
 
 def _space_fn(expr_fn):
-    """Adapt an expression to the (points, t) coefficient signature."""
+    """Adapt an expression to the (points, t) coefficient signature.
+
+    numpy's inf and nan are returned without a RuntimeWarning, as in
+    ``_expression``: a coefficient that is not finite at a node reaches
+    ``check_max_principle``, which names the node.
+    """
 
     def fn(pts, t):
         x = pts[:, 0]
         y = pts[:, 1] if pts.shape[1] > 1 else np.zeros_like(x)
-        return np.broadcast_to(np.asarray(expr_fn(x=x, y=y, t=t), dtype=float), x.shape)
+        with np.errstate(all="ignore"):
+            value = expr_fn(x=x, y=y, t=t)
+        return np.broadcast_to(np.asarray(value, dtype=float), x.shape)
 
     fn.variables = expr_fn.variables
     return fn

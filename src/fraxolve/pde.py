@@ -63,15 +63,13 @@ t_1.  Dirichlet data given by a callable phi(x, t) is evaluated once per
 level, for the data vector and the scatter; constant data once per
 assembled operator.
 
-scipy is not imported with this module.  ``_ShiftedTridiag.of`` and
-``_ShiftedMatrix.of``, which run once per assembled operator, bind
-``sp`` (``scipy.sparse``), ``spla`` (``scipy.sparse.linalg``) and ``dgtsv``
-(``scipy.linalg.lapack.dgtsv``) as module globals, and reading one of them
-from outside (``fraxolve.pde.spla``) binds them too (PEP 562).  The solves
-call ``spla.splu`` and ``dgtsv`` through these globals, so
+scipy is not imported with this module: ``sp`` (``scipy.sparse``), ``spla``
+(``scipy.sparse.linalg``) and ``dgtsv`` (``scipy.linalg.lapack.dgtsv``)
+each bind at their first use, as ``spatial._lazy_imports`` lists, and
+reading one from outside (``fraxolve.pde.spla``) binds it too (PEP 562).
+The solves call ``spla.splu`` and ``dgtsv`` through these globals, so
 ``fraxolve.pde.spla`` and ``fraxolve.pde.dgtsv`` are the attributes to swap
-to trace or spy on them; a name swapped in before the first operator is
-kept.
+to trace or spy on them; a name swapped in before its first use is kept.
 """
 
 from __future__ import annotations
@@ -164,12 +162,12 @@ class _ShiftedMatrix:
 
     @classmethod
     def of(cls, A: sp.spmatrix, fast: FastInverse | None = None) -> "_ShiftedMatrix":
-        _load_scipy()
         return cls(A, A.diagonal(), fast)
 
     @functools.cached_property
     def _J(self) -> tuple[sp.csc_matrix, np.ndarray]:
         """The CSC matrix of A's off-diagonal entries plus I, and the positions of its diagonal."""
+        _load_scipy("sp")
         n = self.A.shape[0]
         # drop A's diagonal before adding I, so no a_ii + 1 can cancel to a missing entry
         J = (self.A - sp.diags(self.a_diag) + sp.eye(n)).tocsc()
@@ -207,6 +205,7 @@ class _ShiftedMatrix:
                 rhs_norm = math.sqrt(rhs.dot(rhs))  # as in _pcg
                 rtol = max(_CG_RTOL, min(1e-2, max(eta, 0.1 * tol / rhs_norm)))
                 return self._pcg(shift, rhs, 0.5 * (lo + hi), m, rtol, rhs_norm)
+        _load_scipy("spla")
         try:
             lu = spla.splu(self._with_shift(shift))
         except RuntimeError as err:  # "Factor is exactly singular"
@@ -283,7 +282,7 @@ class _ShiftedTridiag:
 
     @classmethod
     def of(cls, A: sp.csr_matrix) -> "_ShiftedTridiag":
-        _load_scipy()
+        _load_scipy("dgtsv")
         n = A.shape[0]
         if n == 1:  # scipy's dgtsv takes a length-1 off-diagonal at n = 1
             return cls(np.zeros(1), A.diagonal(), np.zeros(1), None)

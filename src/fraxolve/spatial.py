@@ -22,11 +22,9 @@ applied as dense orthonormal eigenbases by GEMMs on 2D grids with
 N <= ``_DENSE_MAX_N`` = 128 and by sine/Fourier transforms otherwise
 (measured crossover in ``FastInverse``).
 
-scipy (``scipy.sparse`` as ``sp``, ``scipy.fft`` as ``sfft``) is not
-imported with this module: ``assemble``, ``fast_inverse`` and
-``check_max_principle`` bind both on their first call, and reading
-``fraxolve.spatial.sp`` or ``.sfft`` from outside binds them too (PEP 562).
-So a run on the time axis alone never loads scipy.
+scipy is not imported with this module: each scipy name binds at its own
+first use, and ``_lazy_imports`` lists the scipy modules each solve path
+loads.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
-if TYPE_CHECKING:  # bound at run time by _load_scipy (module docstring)
+if TYPE_CHECKING:  # bound at run time by _load_scipy (see _lazy_imports)
     import scipy.fft as sfft
     import scipy.sparse as sp
 
@@ -61,23 +59,42 @@ def _lazy_imports(namespace: dict, names: dict[str, str]):
     """``(load, __getattr__)`` for module globals imported on first use.
 
     ``names`` maps a global to ``"module"`` or ``"module:attribute"``.
-    ``load()`` binds each one ``namespace`` lacks and keeps one already
-    bound, such as a swapped-in attribute; the module's functions then read
-    the plain globals.  ``__getattr__`` (PEP 562) loads on the first read of
-    one of them from outside the module.
+    ``load(*which)`` binds each of the globals ``which`` that ``namespace``
+    lacks and keeps one already bound, such as a swapped-in attribute; the
+    module's functions then read the plain globals.  ``__getattr__`` (PEP
+    562) binds one of them on its first read from outside the module.
+
+    Each name binds where a solve's path first calls it, so a path loads
+    only these scipy modules (besides ``scipy.integrate`` in the
+    negative-axis quadrature of ``special.mittag_leffler``):
+
+    * time axis alone (``solve_scalar``, ``solve_resolvent``,
+      ``long_time_check``): none;
+    * any spatial operator: ``scipy.sparse`` (``spatial.sp``, bound by
+      ``assemble`` and ``check_max_principle``; ``assemble`` returns CSR);
+    * 1D solve: also ``scipy.linalg`` (``pde.dgtsv``, bound by
+      ``_ShiftedTridiag.of``);
+    * 2D with a fast inverse at N <= 128 (dense sine/Fourier bases built
+      in numpy, four GEMMs a CG step): nothing more;
+    * 2D with a fast inverse at N > 128: also ``scipy.fft`` (``spatial.sfft``,
+      bound by ``FastInverse.at`` when it has no bases), which loads
+      ``scipy.special``;
+    * 2D without a fast inverse (variable coefficients, convection, Robin
+      faces): also ``scipy.sparse.linalg``, which loads ``scipy.linalg``
+      (``pde.spla`` and ``pde.sp``, bound at the first SuperLU solve).
     """
 
-    def load() -> None:
-        for name, target in names.items():
+    def load(*which: str) -> None:
+        for name in which:
             if name not in namespace:
-                module, _, attr = target.partition(":")
+                module, _, attr = names[name].partition(":")
                 obj = importlib.import_module(module)
                 namespace[name] = getattr(obj, attr) if attr else obj
 
     def module_getattr(name: str):
         if name not in names:
             raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
-        load()
+        load(name)
         return namespace[name]
 
     return load, module_getattr
@@ -320,7 +337,7 @@ def assemble(
     ``matrix`` and ``dirichlet_coupling``.  a_k is sampled as the module
     docstring says, at -h/2 for index 0 on a periodic axis.
     """
-    _load_scipy()
+    _load_scipy("sp")
     coeffs.validate(grid.d)
     h, N = grid.h, grid.N
     idx, role, dirichlet_face = _classify(grid, bc)
@@ -424,6 +441,8 @@ class FastInverse:
 
             return apply
 
+        _load_scipy("sfft")
+
         def apply(r: np.ndarray) -> np.ndarray:
             x = r.reshape(denom.shape)
             if self.dirichlet_axes:
@@ -449,6 +468,14 @@ def _periodic_basis(N: int) -> np.ndarray:
     return Q / np.linalg.norm(Q, axis=0)
 
 
+def _dirichlet_basis(N: int) -> np.ndarray:
+    """Orthonormal sine modes on the N - 1 interior points, sqrt(2 / N) sin(pi j k / N)
+    for j, k = 1..N-1: symmetric, the orthonormal DST-I matrix."""
+    j = np.arange(1, N)
+    angle = (np.pi / N) * (np.outer(j, j) % (2 * N))  # j k mod 2N keeps angles in [0, 2 pi)
+    return np.sqrt(2.0 / N) * np.sin(angle)
+
+
 def fast_inverse(grid: Grid, coeffs: CoefficientField, bc: BoundarySpec) -> FastInverse | None:
     """The fast inverse of ``assemble(grid, coeffs, t, bc).matrix`` + s I, or None.
 
@@ -459,7 +486,6 @@ def fast_inverse(grid: Grid, coeffs: CoefficientField, bc: BoundarySpec) -> Fast
     """
     if coeffs.has_convection or callable(coeffs.c) or any(callable(a) for a in coeffs.a):
         return None
-    _load_scipy()
     N, h = grid.N, grid.h
     dense = grid.d == 2 and N <= _DENSE_MAX_N
     eig = float(coeffs.c or 0.0)
@@ -473,8 +499,8 @@ def fast_inverse(grid: Grid, coeffs: CoefficientField, bc: BoundarySpec) -> Fast
         elif all(bc.face(axis, side).kind == "dirichlet" for side in (-1, 1)):
             theta = np.pi * np.arange(1, N) / N
             dirichlet_axes.append(axis)
-            if dense:  # sin(pi j k / N) scaled: symmetric and orthonormal
-                bases.append(sfft.dst(np.eye(N - 1), type=1, norm="ortho", axis=0))
+            if dense:
+                bases.append(_dirichlet_basis(N))
         else:
             return None
         lam = float(coeffs.a[axis]) / h**2 * (2.0 - 2.0 * np.cos(theta))
@@ -503,7 +529,7 @@ def check_max_principle(op: DiscreteOperator, level: int) -> None:
     off-diagonals <= 0, row sums >= -_ROW_SUM_SLACK * diagonal (Varga, Matrix Iterative
     Analysis).
     """
-    _load_scipy()
+    _load_scipy("sp")
     L = sp.hstack([op.matrix, op.dirichlet_coupling]).tocoo()
     node = op.grid.multi_indices()[np.concatenate([op.unknown_flat, op.dirichlet_flat])]
     finite = np.isfinite(L.data)

@@ -157,6 +157,20 @@ class TestPDE:
         assert got == (tmp_path / "oracle.csv").read_bytes()
         assert got.count(b"\r\n") == 1 + (doc["mesh"]["M"] + 1) * (doc["grid"]["N"] + 1) ** doc["grid"]["d"]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_coefficient_infinite_at_a_node_is_a_solver_error(self, tmp_path, capsys):
+        # c = 1/x is inf at the Robin node x = 0: the typed MaxPrincipleError,
+        # not numpy's divide-by-zero warning from inside the expression
+        cfg = tmp_path / "inf.json"
+        cfg.write_text(json.dumps({
+            "mesh": {"M": 8, "T": 1.0, "r": 2.0}, "grid": {"d": 1, "N": 8, "X": 1.0},
+            "problem": {"alpha": 0.5, "f": {"kind": "allen_cahn"}, "u0": "0.5",
+                        "coefficients": {"a": ["1"], "c": "1/x"},
+                        "bc": {"x-": {"kind": "robin", "value": 1}, "x+": {"kind": "dirichlet"}}},
+        }))
+        assert main(["pde", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_SOLVER
+        assert "level 1, node (0,): non-finite entry inf at node (0,)" in capsys.readouterr().err
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         doc = dict(PDE_CONFIG)

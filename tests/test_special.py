@@ -340,6 +340,50 @@ assemble(Grid(1, 8, 1.0), CoefficientField(a=(1.0,)), 0.0, BoundarySpec.dirichle
     assert "scipy.integrate" not in loaded
 
 
+def _solve_pde_run(d: int, N: int, a: list, bc: str, f: str, u0: str) -> str:
+    """Code for a fresh interpreter: one two-level solve_pde of a parsed config."""
+    doc = {"mesh": {"M": 2, "T": 1.0}, "grid": {"d": d, "N": N},
+           "problem": {"alpha": 0.5, "f": {"kind": f}, "u0": u0,
+                       "coefficients": {"a": a}, "bc": {"all": bc}}}
+    return f"""
+from fraxolve.config import parse_config
+from fraxolve.pde import solve_pde
+rc = parse_config({json.dumps(doc)!r})
+solve_pde(rc.problem, rc.mesh, rc.grid, rc.solver)
+"""
+
+
+def _run_2d(N: int, a: str = "1") -> str:
+    return _solve_pde_run(2, N, [a, "1"], "dirichlet0", "allen_cahn", "0.5*sin(x)*sin(y)")
+
+
+def _subpackages(loaded: list[str]) -> set[str]:
+    """The public scipy subpackages among ``loaded`` (scipy.sparse.linalg counts as sparse)."""
+    names = {m.split(".")[1] for m in loaded if "." in m}
+    return {n for n in names if not n.startswith("_")} - {"version"}
+
+
+def test_1d_periodic_solve_loads_scipy_sparse_and_linalg():
+    # assemble's CSR and the tridiagonal dgtsv; no transform and no SuperLU
+    loaded = _scipy_loaded_after(_solve_pde_run(1, 16, ["1"], "periodic", "fisher", "0.5 + 0.3*cos(2*x)"))
+    assert _subpackages(loaded) == {"sparse", "linalg"}
+    assert "scipy.sparse.linalg" not in loaded
+
+
+@pytest.mark.parametrize("N", [16, 128])
+def test_2d_dense_basis_solve_loads_scipy_sparse_only(N):
+    # the fast inverse's sine bases are built in numpy and applied by GEMMs
+    loaded = _scipy_loaded_after(_run_2d(N))
+    assert _subpackages(loaded) == {"sparse"}
+    assert "scipy.sparse.linalg" not in loaded
+
+
+def test_superlu_and_transform_solves_load_their_modules():
+    # the converses, so the two tests above cannot pass for want of a working probe
+    assert "scipy.sparse.linalg" in _scipy_loaded_after(_run_2d(16, a="1 + 0.5*x"))
+    assert "scipy.fft" in _scipy_loaded_after(_run_2d(130))
+
+
 def test_negative_axis_quadrature_loads_scipy_integrate():
     assert "scipy.integrate" in _scipy_loaded_after(
         "from fraxolve import mittag_leffler\nmittag_leffler(0.5, -50.0)"
